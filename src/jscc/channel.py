@@ -5,10 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Noise levels above 1/sqrt(2) are outside the regime any of the codes or
-# reference curves are designed for.
-SIGMA_MAX = 1.0 / math.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class NoisePoint:

@@ -25,14 +25,12 @@ import numpy as np
 
 from . import analysis, channel, harness, svgplot
 from .analysis import BOUND_KINDS, BoundSpec
-from .codecs import CapacityError, CodecSpec
+from .codecs import CapacityError, CodecSpec, resolve_for_sigma
 from .harness import SweepPlan
 
 SCHEMA_VERSION = 1
 
 CSV_HEADER = "label,snr_db,sigma,trials,distortion,std_err,sdr_db,capped"
-
-_SOURCE_VARIANCE = {"uniform": 1.0 / 12.0, "gaussian": 1.0}
 
 # SNR below this puts sigma outside the reference curves' domain.
 _OVERLAY_SNR_FLOOR = channel.snr_db_from_sigma(analysis.SIGMA_MAX) + 1e-6
@@ -518,9 +516,27 @@ def _load_experiment(args) -> Experiment:
     return exp
 
 
+def _checked_plan(job: CurveJob, exp: Experiment) -> SweepPlan:
+    """Build a curve's plan and every grid point's codec, so a bad curve
+    fails before any Monte Carlo starts."""
+    try:
+        plan = SweepPlan(codec=job.spec, snr_grid_db=job.grid,
+                         min_trials=exp.min_trials,
+                         max_trials=exp.max_trials,
+                         rel_se_target=exp.rel_se_target,
+                         master_seed=exp.master_seed)
+        for snr in plan.snr_grid_db:
+            sigma = channel.sigma_from_snr_db(snr)
+            harness.cached_codec(resolve_for_sigma(job.spec, sigma))
+    except ValueError as exc:
+        raise ConfigError(f"curve {job.label!r}: {exc}") from exc
+    return plan
+
+
 def run_simulate(args) -> int:
     exp = _load_experiment(args)
     workers = _resolve_workers(args.workers)
+    plans = [_checked_plan(job, exp) for job in exp.curves]
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
 
@@ -529,19 +545,9 @@ def run_simulate(args) -> int:
                f"workers {workers}"]
     all_points = {}
     curves_by_label = {c.label: c for c in exp.curves}
-    src_vars = {}
-    for job in exp.curves:
-        try:
-            plan = SweepPlan(codec=job.spec, snr_grid_db=job.grid,
-                             min_trials=exp.min_trials,
-                             max_trials=exp.max_trials,
-                             rel_se_target=exp.rel_se_target,
-                             master_seed=exp.master_seed)
-        except ValueError as exc:
-            raise ConfigError(f"curve {job.label!r}: {exc}") from exc
-        curve = harness.sweep(plan, workers=workers)
+    for job, plan in zip(exp.curves, plans):
+        curve = harness.sweep(plan)
         all_points[job.label] = curve.points
-        src_vars[job.label] = _SOURCE_VARIANCE[job.spec.source_kind]
         path = os.path.join(out_dir, _safe_name(job.label) + ".csv")
         write_curve_csv(path, job.label, curve.points)
         capped = sum(1 for p in curve.points if p.capped)
@@ -554,10 +560,11 @@ def run_simulate(args) -> int:
                if math.isfinite(p.sdr_db)]
         series.append({"label": job.label, "points": pts, "dashed": False})
     for job in exp.overlays:
-        anchor_var = (src_vars[job.anchor] if job.anchor is not None
-                      else 1.0 / 12.0)
+        src_var = (curves_by_label[job.anchor].spec.source_variance
+                   if job.anchor is not None
+                   else analysis.OPTA_SOURCE_VARIANCE)
         fitted, pts = _overlay_points(job, curves_by_label, all_points,
-                                      anchor_var)
+                                      src_var)
         series.append({"label": job.label, "points": pts, "dashed": True})
         if job.anchor is None:
             summary.append(f"overlay {job.label}: absolute")
@@ -696,7 +703,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the master seed")
     sim.add_argument("--out", default=".", help="output directory")
     sim.add_argument("--workers", type=int, default=None,
-                     help="worker threads (default: JSCC_WORKERS or 1)")
+                     help="accepted for compatibility and echoed in the "
+                          "summary; runs are serial and results do not "
+                          "depend on it (default: JSCC_WORKERS or 1)")
     sim.set_defaults(func=run_simulate)
 
     bnd = sub.add_parser("bounds", help="tabulate a reference curve")

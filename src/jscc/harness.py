@@ -2,8 +2,8 @@
 
 Trials run in fixed batches of 4096.  Each batch draws its source samples
 and noise from a stream keyed by (master seed, point index, batch index),
-and batch statistics are merged strictly in batch-index order, so the
-estimate is bit-identical no matter how many workers computed the batches.
+and batches run and merge strictly in batch-index order, so the estimate
+is a bit-identical function of the seed, the plan and the codec.
 
 The transmitted signal is normalized to zero mean and unit average power
 using a measured per-codec record; decoding happens back in the raw
@@ -14,7 +14,6 @@ sigma scaled by the measured power root.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +23,6 @@ from .codecs import CodecSpec, build_codec, resolve_for_sigma
 from .codecs.base import NormalizationRecord, measure_normalization
 
 BATCH_SIZE = 4096
-
-_SOURCE_VARIANCE = {"uniform": 1.0 / 12.0, "gaussian": 1.0}
 
 _codec_cache: dict[CodecSpec, object] = {}
 _normalization_cache: dict[CodecSpec, NormalizationRecord] = {}
@@ -121,9 +118,15 @@ def _run_batch(codec, noise: channel.NoisePoint, norm: NormalizationRecord,
     return math.fsum(e2.tolist()), math.fsum(np.square(e2).tolist())
 
 
+def _moments(sum2: _Kahan, sum4: _Kahan, trials: int) -> tuple:
+    """Mean squared error and its standard error from the running sums."""
+    mean = sum2.total / trials
+    var = max(sum4.total / trials - mean * mean, 0.0)
+    return mean, math.sqrt(var / trials)
+
+
 def estimate_point(codec, noise: channel.NoisePoint, plan: SweepPlan, *,
-                   normalization: NormalizationRecord | None = None,
-                   workers: int = 1) -> SdrPoint:
+                   normalization: NormalizationRecord | None = None) -> SdrPoint:
     """Adaptive distortion estimate at one noise level.
 
     Stops at the first batch boundary past min_trials where the relative
@@ -132,56 +135,32 @@ def estimate_point(codec, noise: channel.NoisePoint, plan: SweepPlan, *,
     """
     if normalization is None:
         normalization = get_normalization(codec)
-    workers = max(1, int(workers))
     max_batches = -(-plan.max_trials // BATCH_SIZE)
     sum2, sum4 = _Kahan(), _Kahan()
     trials = 0
     stopped = False
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        next_index = 0
-        while not stopped and next_index < max_batches:
-            count = min(workers, max_batches - next_index)
-            indices = range(next_index, next_index + count)
-            if pool is None:
-                results = [_run_batch(codec, noise, normalization, b) for b in indices]
-            else:
-                results = list(pool.map(
-                    lambda b: _run_batch(codec, noise, normalization, b), indices))
-            for s2, s4 in results:
-                if stopped:
-                    break  # overshoot from speculative workers is discarded
-                sum2.add(s2)
-                sum4.add(s4)
-                trials += BATCH_SIZE
-                if trials >= plan.min_trials:
-                    mean = sum2.total / trials
-                    if mean == 0.0:
-                        stopped = True
-                        break
-                    var = max(sum4.total / trials - mean * mean, 0.0)
-                    if math.sqrt(var / trials) <= plan.rel_se_target * mean:
-                        stopped = True
-            next_index += count
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
-    mean = sum2.total / trials
-    var = max(sum4.total / trials - mean * mean, 0.0)
-    std_err = math.sqrt(var / trials)
-    src_var = _SOURCE_VARIANCE[codec.spec.source_kind]
+    for batch_index in range(max_batches):
+        s2, s4 = _run_batch(codec, noise, normalization, batch_index)
+        sum2.add(s2)
+        sum4.add(s4)
+        trials += BATCH_SIZE
+        mean, std_err = _moments(sum2, sum4, trials)
+        if trials >= plan.min_trials and (
+                mean == 0.0 or std_err <= plan.rel_se_target * mean):
+            stopped = True
+            break
     return SdrPoint(
         snr_db=noise.snr_db,
         sigma=noise.sigma,
         trials=trials,
         distortion=mean,
         std_err=std_err,
-        sdr_db=channel.sdr_db(mean, src_var),
+        sdr_db=channel.sdr_db(mean, codec.spec.source_variance),
         capped=not stopped,
     )
 
 
-def sweep(plan: SweepPlan, *, workers: int = 1) -> SdrCurve:
+def sweep(plan: SweepPlan) -> SdrCurve:
     """Run estimate_point across the plan's grid, resolving families per point."""
     points, resolved, norms = [], [], []
     for index, snr in enumerate(plan.snr_grid_db):
@@ -191,8 +170,7 @@ def sweep(plan: SweepPlan, *, workers: int = 1) -> SdrCurve:
         norm = get_normalization(codec)
         noise = channel.NoisePoint(sigma=sigma, snr_db=snr,
                                    master_seed=plan.master_seed, point_index=index)
-        points.append(estimate_point(codec, noise, plan,
-                                     normalization=norm, workers=workers))
+        points.append(estimate_point(codec, noise, plan, normalization=norm))
         resolved.append(spec)
         norms.append(norm)
     return SdrCurve(plan=plan, points=tuple(points),

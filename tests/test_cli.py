@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from jscc import analysis, cli, harness, svgplot
+from jscc import analysis, channel, cli, harness, svgplot
 from jscc.cli import ConfigError, parse_config
 from jscc.harness import SdrPoint
 
@@ -195,6 +195,28 @@ def test_simulate_worker_count_invariance(tmp_path):
     assert (out1 / "rep.csv").read_bytes() == (out2 / "rep.csv").read_bytes()
 
 
+def test_simulate_computes_no_batch_it_does_not_use(tmp_path, monkeypatch):
+    data = _tiny_config()
+    data["snr_grid_db"] = [10.0, 15.0, 20.0]
+    data["sweep"] = {"min_trials": 12288, "max_trials": 40960,
+                     "rel_se_target": 0.5}
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(data))
+    calls = []
+    real = channel.batch_rng
+
+    def counting(*key):
+        calls.append(key)
+        return real(*key)
+
+    monkeypatch.setattr(channel, "batch_rng", counting)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--workers", "2"]) == 0
+    used = sum(p.trials for _, p in cli.read_curve_csv(str(out / "rep.csv")))
+    assert len(calls) == used // harness.BATCH_SIZE
+
+
 def test_simulate_seed_override_changes_output(tmp_path):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps(_tiny_config()))
@@ -261,6 +283,14 @@ def test_exit_codes(tmp_path):
     cap_path.write_text(json.dumps(cap))
     assert cli.main(["simulate", "--config", str(cap_path),
                      "--out", str(tmp_path)]) == 3
+    zero = dict(cap)
+    zero["curves"] = [{"label": "flat",
+                       "codec": {"scheme": "type1", "n": 2},
+                       "snr_grid_db": [0.0]}]
+    zero_path = tmp_path / "zero.json"
+    zero_path.write_text(json.dumps(zero))
+    assert cli.main(["simulate", "--config", str(zero_path),
+                     "--out", str(tmp_path)]) == 2
     good = tmp_path / "good.json"
     good.write_text(json.dumps(_tiny_config()))
     assert cli.main(["simulate", "--config", str(good),
@@ -268,6 +298,20 @@ def test_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as err:
         cli.main(["confabulate"])
     assert err.value.code == 2
+
+
+def test_cap_breach_in_a_later_curve_fails_before_any_sweep(tmp_path):
+    data = _tiny_config()
+    data["curves"].append({"label": "deep",
+                           "codec": {"scheme": "type1", "n": 2},
+                           "snr_grid_db": [10.0, 20.0, 160.0]})
+    data["overlays"] = []
+    cfg = tmp_path / "late.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == 3
+    assert list(out.glob("*.csv")) == []
 
 
 # ---------------------------------------------------------------------------

@@ -55,23 +55,6 @@ def test_quantization_floor_at_extreme_snr():
     assert not point.capped
 
 
-def test_worker_count_does_not_change_results():
-    spec = CodecSpec(scheme="repetition", n=2)
-    codec = harness.cached_codec(spec)
-    plan = SweepPlan(codec=spec, snr_grid_db=(12.0,),
-                     min_trials=20_000, max_trials=60_000, rel_se_target=0.05)
-    lone = estimate_point(codec, _noise_at(12.0), plan, workers=1)
-    pooled = estimate_point(codec, _noise_at(12.0), plan, workers=8)
-    assert lone == pooled
-
-
-def test_sweep_worker_count_invariance():
-    spec = CodecSpec(scheme="shift_map", n=2, a=3)
-    plan = SweepPlan(codec=spec, snr_grid_db=(15.0, 25.0),
-                     min_trials=8_192, max_trials=16_384, rel_se_target=0.5)
-    assert sweep(plan, workers=1) == sweep(plan, workers=8)
-
-
 def test_estimate_point_is_repeatable():
     spec = CodecSpec(scheme="repetition", n=2)
     codec = harness.cached_codec(spec)
