@@ -84,6 +84,20 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def _number(value, kind, where: str):
+    """kind(value) for kind int or float; a bad value is a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where} must be {noun}, got {value!r}") from exc
+
+
+def _check_seed(seed: int, where: str) -> int:
+    _require(seed >= 0, f"{where} must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _codec_from_dict(data, where: str) -> CodecSpec:
     _require(isinstance(data, dict), f"{where}: codec must be an object")
     allowed = {"scheme", "n", "a", "b", "alpha", "k", "p",
@@ -94,7 +108,7 @@ def _codec_from_dict(data, where: str) -> CodecSpec:
     if "b" in kwargs and kwargs["b"] is not None:
         _require(isinstance(kwargs["b"], (list, tuple)),
                  f"{where}: b must be a list")
-        kwargs["b"] = tuple(int(v) for v in kwargs["b"])
+        kwargs["b"] = tuple(_number(v, int, f"{where}: b entry") for v in kwargs["b"])
     if "inner" in kwargs and kwargs["inner"] is not None:
         kwargs["inner"] = _codec_from_dict(kwargs["inner"], where + ".inner")
     try:
@@ -141,10 +155,7 @@ def _check_label(label, where: str) -> str:
 def _grid_from(data, where: str) -> tuple:
     _require(isinstance(data, (list, tuple)) and len(data) > 0,
              f"{where}: snr grid must be a non-empty list")
-    try:
-        return tuple(float(v) for v in data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: snr grid entries must be numbers") from exc
+    return tuple(_number(v, float, f"{where}: snr grid entry") for v in data)
 
 
 def parse_config(data) -> Experiment:
@@ -163,9 +174,11 @@ def parse_config(data) -> Experiment:
     for key in sweep_cfg:
         _require(key in ("min_trials", "max_trials", "rel_se_target"),
                  f"unknown sweep field {key!r}")
-    min_trials = int(sweep_cfg.get("min_trials", 100_000))
-    max_trials = int(sweep_cfg.get("max_trials", 10_000_000))
-    rel_se = float(sweep_cfg.get("rel_se_target", 0.1))
+    min_trials = _number(sweep_cfg.get("min_trials", 100_000), int, "sweep.min_trials")
+    max_trials = _number(sweep_cfg.get("max_trials", 10_000_000), int, "sweep.max_trials")
+    rel_se = _number(sweep_cfg.get("rel_se_target", 0.1), float, "sweep.rel_se_target")
+    master_seed = _check_seed(
+        _number(data.get("master_seed", 0x5EED), int, "master_seed"), "master_seed")
 
     default_grid = None
     if "snr_grid_db" in data:
@@ -191,7 +204,7 @@ def parse_config(data) -> Experiment:
             w = entry["fit_window_db"]
             _require(isinstance(w, (list, tuple)) and len(w) == 2,
                      f"{where}: fit_window_db must be [lo, hi]")
-            window = (float(w[0]), float(w[1]))
+            window = tuple(_number(v, float, f"{where}: fit_window_db entry") for v in w)
             _require(window[0] < window[1],
                      f"{where}: fit window must satisfy lo < hi")
         curves.append(CurveJob(label=label, spec=spec, grid=grid,
@@ -214,9 +227,13 @@ def parse_config(data) -> Experiment:
             eps = [2.0 ** -e for e in range(4, 13)]
         _require(isinstance(eps, (list, tuple)) and len(eps) >= 2,
                  f"{where}: epsilons must list at least two box sizes")
-        samples = int(entry.get("samples", 200_000))
-        dims.append(DimensionJob(label=label, spec=spec,
-                                 epsilons=tuple(float(e) for e in eps),
+        eps = tuple(_number(e, float, f"{where}: epsilon") for e in eps)
+        _require(eps[-1] > 0.0 and math.isfinite(eps[0])
+                 and all(a > b for a, b in zip(eps, eps[1:])),
+                 f"{where}: epsilons must be positive, finite and strictly decreasing")
+        samples = _number(entry.get("samples", 200_000), int, f"{where}: samples")
+        _require(samples >= 1, f"{where}: samples must be at least 1")
+        dims.append(DimensionJob(label=label, spec=spec, epsilons=eps,
                                  samples=samples))
 
     _require(curves or dims, "config defines no curves and no dimension checks")
@@ -241,7 +258,7 @@ def parse_config(data) -> Experiment:
     return Experiment(
         name=name,
         title=data.get("title", name),
-        master_seed=int(data.get("master_seed", 0x5EED)),
+        master_seed=master_seed,
         min_trials=min_trials,
         max_trials=max_trials,
         rel_se_target=rel_se,
@@ -404,11 +421,18 @@ def format_point(label: str, p) -> str:
     ])
 
 
-def write_curve_csv(path: str, label: str, points) -> None:
-    lines = [CSV_HEADER]
-    lines.extend(format_point(label, p) for p in points)
+def _write_lines(path: str, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_curve_csv(path: str, label: str, points) -> None:
+    _write_lines(path, [CSV_HEADER] + [format_point(label, p) for p in points])
+
+
+def write_boxcount_csv(path: str, est) -> None:
+    _write_lines(path, ["epsilon,count"] + [f"{e!r},{c}" for e, c in
+                                            zip(est.epsilons, est.counts)])
 
 
 def read_curve_csv(path: str):
@@ -512,7 +536,7 @@ def _load_experiment(args) -> Experiment:
             raise ConfigError(f"cannot read {args.config}: {exc}") from exc
     exp = parse_config(data)
     if args.seed is not None:
-        exp = dataclasses.replace(exp, master_seed=args.seed)
+        exp = dataclasses.replace(exp, master_seed=_check_seed(args.seed, "--seed"))
     return exp
 
 
@@ -533,10 +557,19 @@ def _checked_plan(job: CurveJob, exp: Experiment) -> SweepPlan:
     return plan
 
 
+def _checked_codec(job: DimensionJob):
+    """Build a dimension check's codec before any Monte Carlo starts."""
+    try:
+        return harness.cached_codec(job.spec)
+    except ValueError as exc:
+        raise ConfigError(f"dimension check {job.label!r}: {exc}") from exc
+
+
 def run_simulate(args) -> int:
     exp = _load_experiment(args)
     workers = _resolve_workers(args.workers)
     plans = [_checked_plan(job, exp) for job in exp.curves]
+    check_codecs = [_checked_codec(job) for job in exp.dimension_checks]
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
 
@@ -572,17 +605,12 @@ def run_simulate(args) -> int:
             summary.append(f"overlay {job.label}: anchored to {job.anchor}, "
                            f"scale {fitted.scale:.6g}")
 
-    for check_index, job in enumerate(exp.dimension_checks):
-        codec = harness.cached_codec(job.spec)
+    for check_index, (job, codec) in enumerate(zip(exp.dimension_checks, check_codecs)):
         rng = channel.derived_rng(exp.master_seed, 0xD1, check_index)
         est = analysis.boxcount_dimension(
             analysis.constellation_sampler(codec), job.epsilons, job.samples,
             rng=rng)
-        path = os.path.join(out_dir, _safe_name(job.label) + ".csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("epsilon,count\n")
-            for eps, cnt in zip(est.epsilons, est.counts):
-                fh.write(f"{eps!r},{cnt}\n")
+        write_boxcount_csv(os.path.join(out_dir, _safe_name(job.label) + ".csv"), est)
         summary.append(f"dimension {job.label}: fitted {est.fitted_dimension:.4f}, "
                        f"saturated {int(est.saturated)}, "
                        f"residual {est.fit_residual:.4f}")
@@ -643,19 +671,16 @@ def run_dimension(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if args.epsilons is not None:
-        eps = tuple(float(v) for v in args.epsilons.split(","))
+        eps = tuple(_number(v, float, "--epsilons entry") for v in args.epsilons.split(","))
     else:
         eps = tuple(2.0 ** -e for e in range(4, 13))
-    rng = channel.derived_rng(args.seed, 0xD1, 0)
+    rng = channel.derived_rng(_check_seed(args.seed, "--seed"), 0xD1, 0)
     try:
         est = analysis.boxcount_dimension(
             analysis.constellation_sampler(codec), eps, args.samples, rng=rng)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epsilon,count\n")
-        for e, c in zip(est.epsilons, est.counts):
-            fh.write(f"{e!r},{c}\n")
+    write_boxcount_csv(args.out, est)
     print(f"fitted_dimension {est.fitted_dimension:.4f} "
           f"saturated {int(est.saturated)} residual {est.fit_residual:.4f}")
     return 0
@@ -668,10 +693,10 @@ def run_stretch(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if args.deltas is not None:
-        deltas = tuple(float(v) for v in args.deltas.split(","))
+        deltas = tuple(_number(v, float, "--deltas entry") for v in args.deltas.split(","))
     else:
         deltas = tuple(np.geomspace(1e-2, 1e-4, 7).tolist())
-    rng = channel.derived_rng(args.seed, 0x57, 0)
+    rng = channel.derived_rng(_check_seed(args.seed, "--seed"), 0x57, 0)
     try:
         prof = analysis.stretch_profile(codec, deltas, args.samples, rng=rng)
     except ValueError as exc:

@@ -1,71 +1,18 @@
-"""Digit-interleaving code over a base wider than binary.
+"""Digit-interleaving code over a base wider than binary (scheme1).
 
-Source bits are dealt round-robin across the n channel dimensions and each
-dimension's digit string is read as a number in base alpha > 2.  Widening the
-base opens a gap between the two subtrees at every digit, which is what makes
-the greedy decoder below an exact nearest-point search.
+Source bits are dealt round-robin across the n channel dimensions, and each
+dimension is a base-alpha digit stream with no separators (alpha > 2).
+Widening the base opens a gap between the two subtrees at every digit, which
+is what makes the greedy stream decoder of layered.py an exact nearest-point
+search.
 """
 
-import numpy as np
-
-from .base import Codec, CodecSpec
-from .. import numrep
+from .base import CodecSpec
+from .layered import DigitStream, StreamCodec
 
 
-class DimensionPlan:
-    """Digit bookkeeping for one channel dimension."""
-
-    def __init__(self, source_bits: np.ndarray, alpha: float):
-        self.source_bits = source_bits  # 0-based source positions, depth order
-        depth = len(source_bits)
-        self.weights = alpha ** -np.arange(1, depth + 1, dtype=np.float64)
-        # Largest value the remaining digits can still add after depth d.
-        tails = np.concatenate([np.cumsum(self.weights[::-1])[::-1][1:], [0.0]])
-        self.thresholds = 0.5 * (self.weights + tails)
-
-
-def interleave_plan(n: int, p: int, alpha: float) -> list[DimensionPlan]:
-    plans = []
-    for dim in range(n):
-        positions = np.arange(dim, p, n, dtype=np.int64)
-        plans.append(DimensionPlan(positions, alpha))
-    return plans
-
-
-class Scheme1Codec(Codec):
+class Scheme1Codec(StreamCodec):
     def __init__(self, spec: CodecSpec):
-        super().__init__(spec)
-        self.plans = interleave_plan(spec.n, spec.p, spec.alpha)
-        self.weight_matrix = np.zeros((spec.p, spec.n))
-        for dim, plan in enumerate(self.plans):
-            self.weight_matrix[plan.source_bits, dim] = plan.weights
-
-    def encode(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        bits = numrep.bits_from_ints(numrep.unit_fraction_ints(x, self.spec.p), self.spec.p)
-        return bits.astype(np.float64) @ self.weight_matrix
-
-    def decode(self, y, sigma=0.0):
-        y = np.asarray(y, dtype=np.float64)
-        bits = self.decode_bits(y)
-        return numrep.values_from_bit_rows(bits, midpoint_fill=True)
-
-    def decode_bits(self, y) -> np.ndarray:
-        """Greedy digit decisions, most significant first.
-
-        At digit depth d the residual is compared against the midpoint between
-        the largest all-later-digits value (digit 0) and the smallest value
-        with this digit set.  The two subtrees never overlap for alpha > 2, so
-        this reproduces the exact per-dimension nearest constellation point.
-        """
-        y = np.asarray(y, dtype=np.float64)
-        bits = np.zeros((y.shape[0], self.spec.p), dtype=np.uint8)
-        for dim, plan in enumerate(self.plans):
-            r = y[:, dim].copy()
-            for d in range(len(plan.weights)):
-                # Strict: an exact midpoint tie stays in the digit-0 subtree,
-                # whose greedy completion has the smaller source value.
-                take = r > plan.thresholds[d]
-                bits[:, plan.source_bits[d]] = take
-                r -= np.where(take, plan.weights[d], 0.0)
-        return bits
+        streams = [DigitStream(range(dim, spec.p, spec.n), base=spec.alpha)
+                   for dim in range(spec.n)]
+        super().__init__(spec, streams)

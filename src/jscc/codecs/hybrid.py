@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .base import Codec, CodecSpec
-from .layered import build_streams, greedy_stream_decode
+from .layered import build_streams, greedy_stream_decode, stream_matrix
 from .. import numrep
 
 
@@ -45,21 +45,36 @@ class PatternTable:
         self.values = sv[keep]
         self.patterns = sp[keep]
 
-    def nearest(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.searchsorted(self.values, y)
-        lo = np.clip(idx - 1, 0, len(self.values) - 1)
-        hi = np.clip(idx, 0, len(self.values) - 1)
-        d_lo = np.abs(y - self.values[lo])
-        d_hi = np.abs(y - self.values[hi])
+    def nearest(self, y, points=None) -> tuple[np.ndarray, np.ndarray]:
+        """Value and pattern of the entry whose point (sorted, one per entry;
+        default the values themselves) lies nearest to y."""
+        if points is None:
+            points = self.values
+        idx = np.searchsorted(points, y)
+        lo = np.clip(idx - 1, 0, len(points) - 1)
+        hi = np.clip(idx, 0, len(points) - 1)
+        d_lo = np.abs(y - points[lo])
+        d_hi = np.abs(y - points[hi])
         pick_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (self.patterns[hi] < self.patterns[lo]))
         sel = np.where(pick_hi, hi, lo)
         return self.values[sel], self.patterns[sel]
 
 
-def pattern_bits(pattern: np.ndarray, m: int) -> np.ndarray:
-    """(batch, m) bit array of pattern ints, weight index 1 first."""
-    shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
-    return ((pattern[:, None] >> shifts) & 1).astype(np.uint8)
+def digital_matrix(w: np.ndarray, n: int, rows: int, last_dim_bits: int) -> np.ndarray:
+    """(rows, n) digital-layer weights: bit i of dimension j is source bit
+    (i-1)*n + j, with len(w) bits per dimension but last_dim_bits on the last."""
+    matrix = np.zeros((rows, n))
+    for j in range(n):
+        depth = last_dim_bits if j == n - 1 else len(w)
+        matrix[np.arange(depth) * n + j, j] = w[:depth]
+    return matrix
+
+
+def scatter_pattern(bits: np.ndarray, pattern: np.ndarray, depth: int,
+                    n: int, dim: int) -> None:
+    """Write depth-bit pattern ints, weight index 1 first, into bits[:, (i-1)*n + dim]."""
+    shifts = np.arange(depth - 1, -1, -1, dtype=np.int64)
+    bits[:, np.arange(depth) * n + dim] = (pattern[:, None] >> shifts) & 1
 
 
 class Type1Codec(Codec):
@@ -77,12 +92,7 @@ class Type1Codec(Codec):
         self.m = n * k - 1
         self.w = protection_weights(k)
         self.seg = math.ldexp(1.0, -(k + 1))
-        self.weight_matrix = np.zeros((self.m, n))
-        for j in range(n - 1):
-            for i in range(1, k + 1):
-                self.weight_matrix[(i - 1) * n + j, j] = self.w[i - 1]
-        for i in range(1, k):
-            self.weight_matrix[(i - 1) * n + (n - 1), n - 1] = self.w[i - 1]
+        self.weight_matrix = digital_matrix(self.w, n, self.m, k - 1)
         self.full_table = PatternTable(self.w)
         self.analog_table = PatternTable(self.w[: k - 1])
 
@@ -103,9 +113,7 @@ class Type1Codec(Codec):
         bits = np.zeros((y.shape[0], self.m), dtype=np.uint8)
         for j in range(n - 1):
             _, pat = self.full_table.nearest(y[:, j])
-            pb = pattern_bits(pat, k)
-            for i in range(1, k + 1):
-                bits[:, (i - 1) * n + j] = pb[:, i - 1]
+            scatter_pattern(bits, pat, k, n, j)
         frac = self._decode_analog_dim(y[:, n - 1], bits)
         d = numrep.ints_from_bits(bits)
         return (np.ldexp(d.astype(np.float64), -self.m) - 0.5) + frac * math.ldexp(1.0, -self.m)
@@ -124,9 +132,7 @@ class Type1Codec(Codec):
         pick_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (pats[hi] < pats[lo]))
         pat = np.where(pick_hi, pats[hi], pats[lo])
         frac = np.where(pick_hi, t_hi, t_lo)
-        pb = pattern_bits(pat, k - 1)
-        for i in range(1, k):
-            bits[:, (i - 1) * n + (n - 1)] = pb[:, i - 1]
+        scatter_pattern(bits, pat, k - 1, n, n - 1)
         return frac
 
 
@@ -139,14 +145,9 @@ class Type2Codec(Codec):
         self.m = n * k
         self.w = protection_weights(k)
         self.seg = math.ldexp(1.0, -(k + 1))
-        self.digital_matrix = np.zeros((self.m, n))
-        for j in range(n):
-            for i in range(1, k + 1):
-                self.digital_matrix[(i - 1) * n + j, j] = self.w[i - 1]
+        self.digital_matrix = digital_matrix(self.w, n, self.m, k)
         self.streams = build_streams(n, p - self.m, spec.grouping_variant)
-        self.residual_matrix = np.zeros((p - self.m, n))
-        for dim, stream in enumerate(self.streams):
-            self.residual_matrix[stream.data_bits, dim] = stream.data_weights
+        self.residual_matrix = stream_matrix(self.streams, p - self.m)
         self.table = PatternTable(self.w)
         # Decoding against segment midpoints makes the digital decision match
         # the joint nearest point: all segments of a dimension share one span.
@@ -169,22 +170,8 @@ class Type2Codec(Codec):
         n, k = self.spec.n, self.spec.k
         bits = np.zeros((y.shape[0], self.spec.p), dtype=np.uint8)
         for j in range(n):
-            v, pat = self._nearest_center(j, y[:, j])
-            pb = pattern_bits(pat, k)
-            for i in range(1, k + 1):
-                bits[:, (i - 1) * n + j] = pb[:, i - 1]
+            v, pat = self.table.nearest(y[:, j], self.centers[j])
+            scatter_pattern(bits, pat, k, n, j)
             r = (y[:, j] - v) / self.seg
             greedy_stream_decode(r, self.streams[j], bits, bit_offset=self.m)
         return bits
-
-    def _nearest_center(self, dim, y):
-        centers = self.centers[dim]
-        vals, pats = self.table.values, self.table.patterns
-        idx = np.searchsorted(centers, y)
-        lo = np.clip(idx - 1, 0, len(centers) - 1)
-        hi = np.clip(idx, 0, len(centers) - 1)
-        d_lo = np.abs(y - centers[lo])
-        d_hi = np.abs(y - centers[hi])
-        pick_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (pats[hi] < pats[lo]))
-        sel = np.where(pick_hi, hi, lo)
-        return vals[sel], pats[sel]

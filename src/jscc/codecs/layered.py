@@ -1,4 +1,11 @@
-"""Layered binary code with growing bit groups and separator digits.
+"""Weighted digit streams, and the layered binary code built on them.
+
+A digit-stream code deals the source's binary digits onto one stream per
+channel dimension.  Slot i of a stream weighs base**-i and holds a source bit
+or a forced 0 separator; each stream is decoded greedily by subtree midpoints.
+The fractal code (scheme1, fractal.py) uses base-alpha streams with no
+separators.  The layered code here (scheme2) uses base-2 streams with
+separators: they, not a widened base, create the decoding gaps.
 
 Source bits are split into consecutive groups.  Group l goes to dimension
 ((l-1) mod n) + 1; within its dimension the group occupies the next size(l)
@@ -9,12 +16,7 @@ any digit of the groups above it.
 Group sizes grow linearly.  The standard rule gives group l exactly l bits.
 The shifted rule gives group l = kn + i exactly i + k(n-1) bits, which trades
 a slightly different protection profile at the same asymptotic cost.
-
-Digit streams are evaluated in base 2 (the one place base 2 is legitimate:
-separators, not a widened base, create the decoding gaps here).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,58 +31,23 @@ def group_size(index: int, n: int, variant: str) -> int:
     return (i + 1) + k * (n - 1)
 
 
-@dataclass(frozen=True)
-class GroupEntry:
-    """One group of the layout.
-
-    Bit and slot positions are 1-based.  The group covers source bits
-    [first_bit, first_bit + size) and digit slots [slot_start,
-    slot_start + size) of its dimension; the separator 0 sits at slot
-    slot_start + size.
-    """
-
-    index: int
-    dim: int
-    first_bit: int
-    size: int
-    slot_start: int
-
-
-def scheme2_layout(n: int, n_groups: int, variant: str = "standard") -> tuple[GroupEntry, ...]:
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    if variant not in ("standard", "shifted"):
-        raise ValueError(f"unknown grouping variant {variant!r}")
-    entries = []
-    next_bit = 1
-    next_slot = [1] * n
-    for l in range(1, n_groups + 1):
-        dim = (l - 1) % n + 1
-        size = group_size(l, n, variant)
-        entries.append(GroupEntry(index=l, dim=dim, first_bit=next_bit,
-                                  size=size, slot_start=next_slot[dim - 1]))
-        next_bit += size
-        next_slot[dim - 1] += size + 1
-    return tuple(entries)
-
-
 class DigitStream:
-    """Digit slots of one dimension: source-bit index per slot, -1 = separator."""
+    """Slots of one dimension, slot i weighing base**-i: source bit or -1 = separator."""
 
-    def __init__(self, slots: list[int]):
+    def __init__(self, slots, base: float = 2.0):
         self.slots = np.asarray(slots, dtype=np.int64)
-        slot_numbers = np.arange(1, len(slots) + 1)
-        all_weights = np.ldexp(1.0, -slot_numbers)
+        all_weights = base ** -np.arange(1, len(self.slots) + 1, dtype=np.float64)
         data = self.slots >= 0
         self.data_weights = all_weights[data]
         self.data_bits = self.slots[data]
+        # Largest value the remaining data digits can still add after each one.
         tails = np.concatenate([np.cumsum(self.data_weights[::-1])[::-1][1:], [0.0]])
         self.thresholds = 0.5 * (self.data_weights + tails)
         self.max_value = float(self.data_weights.sum())
 
 
 def build_streams(n: int, p: int, variant: str = "standard") -> list[DigitStream]:
-    """Digit streams covering source bits 0..p-1 (0-based) of a layout."""
+    """Layered-code streams covering source bits 0..p-1 (0-based)."""
     slots: list[list[int]] = [[] for _ in range(n)]
     bit = 0
     l = 0
@@ -96,13 +63,23 @@ def build_streams(n: int, p: int, variant: str = "standard") -> list[DigitStream
     return [DigitStream(s) for s in slots]
 
 
+def stream_matrix(streams: list[DigitStream], p: int) -> np.ndarray:
+    """(p, n) weight of each source bit on each stream's dimension."""
+    matrix = np.zeros((p, len(streams)))
+    for dim, stream in enumerate(streams):
+        matrix[stream.data_bits, dim] = stream.data_weights
+    return matrix
+
+
 def greedy_stream_decode(r: np.ndarray, stream: DigitStream,
                          bits_out: np.ndarray, bit_offset: int = 0) -> None:
     """Exact nearest digit string of one stream, written into bits_out.
 
-    Same subtree-midpoint argument as the wide-base code: every data slot is
-    eventually followed by a separator (or the stream ends), so the digit-0
-    subtree tops out strictly below the digit-1 subtree.
+    At each data digit, most significant first, the residual is compared
+    against the midpoint between the largest all-later-digits value (digit 0)
+    and the smallest value with this digit set.  The two subtrees never
+    overlap: a base above 2 opens a gap at every digit, and in base 2 every
+    data slot is eventually followed by a separator (or the stream ends).
     """
     r = r.copy()
     for d in range(len(stream.data_weights)):
@@ -113,13 +90,13 @@ def greedy_stream_decode(r: np.ndarray, stream: DigitStream,
         r -= np.where(take, stream.data_weights[d], 0.0)
 
 
-class Scheme2Codec(Codec):
-    def __init__(self, spec: CodecSpec):
+class StreamCodec(Codec):
+    """One digit stream per channel dimension over the p source bits."""
+
+    def __init__(self, spec: CodecSpec, streams: list[DigitStream]):
         super().__init__(spec)
-        self.streams = build_streams(spec.n, spec.p, spec.grouping_variant)
-        self.weight_matrix = np.zeros((spec.p, spec.n))
-        for dim, stream in enumerate(self.streams):
-            self.weight_matrix[stream.data_bits, dim] = stream.data_weights
+        self.streams = streams
+        self.weight_matrix = stream_matrix(streams, spec.p)
 
     def encode(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -135,3 +112,8 @@ class Scheme2Codec(Codec):
 
     def decode(self, y, sigma=0.0):
         return numrep.values_from_bit_rows(self.decode_bits(y), midpoint_fill=True)
+
+
+class Scheme2Codec(StreamCodec):
+    def __init__(self, spec: CodecSpec):
+        super().__init__(spec, build_streams(spec.n, spec.p, spec.grouping_variant))

@@ -115,24 +115,6 @@ def values_from_bit_rows(bits: np.ndarray, midpoint_fill: bool = True) -> np.nda
     return np.ldexp(t.astype(np.float64), -p) - 0.5
 
 
-def eval_base_alpha(bits, alpha: float, allow_base_two: bool = False) -> float:
-    """sum_i bits[i] * alpha**-(i+1), most significant digit first.
-
-    Terms are accumulated with exact (compensated) summation, so the only
-    rounding is the one inside each power.  Base 2 is reserved for the layered
-    binary digit streams and must be requested explicitly; every standalone
-    use requires alpha > 2 so that digit strings remain separable.
-    """
-    if alpha == 2.0:
-        if not allow_base_two:
-            raise ValueError("base 2 requires allow_base_two=True")
-    elif alpha <= 2.0:
-        raise ValueError(f"digit base must exceed 2, got {alpha}")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("digits must be 0 or 1")
-    return math.fsum(alpha ** -(i + 1) for i, b in enumerate(bits) if b)
-
-
 @dataclass(frozen=True)
 class SplitSample:
     integer_part: int

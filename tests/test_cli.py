@@ -70,6 +70,14 @@ def _tiny_config():
     }
 
 
+def _with_check(**fields):
+    """Mutation adding one repetition dimension check with fields overridden."""
+    check = {"label": "dim", "codec": {"scheme": "repetition", "n": 2},
+             "epsilons": [0.1, 0.01], "samples": 1000}
+    check.update(fields)
+    return lambda d: d.update(dimension_checks=[check])
+
+
 def test_presets_all_parse():
     for name, builder in cli.PRESETS.items():
         exp = parse_config(builder())
@@ -100,6 +108,13 @@ def test_parse_config_happy_path():
         {"kind": "opta_slb", "n": 2, "anchor": "rep"}), "absolute"),
     (lambda d: d.update(curves=[], overlays=[]), "no curves"),
     (lambda d: d["curves"][0].pop("codec"), "codec"),
+    (_with_check(epsilons=[0.01, 0.1]), "strictly decreasing"),
+    (_with_check(epsilons=[0.1, -0.1]), "positive"),
+    (_with_check(epsilons=[math.inf, 0.1]), "finite"),
+    (_with_check(samples=0), "samples must be at least 1"),
+    (_with_check(epsilons=["x", 0.1]), "epsilon must be a number"),
+    (lambda d: d["sweep"].update(min_trials="abc"), "min_trials must be an integer"),
+    (lambda d: d.update(master_seed=-1), "master_seed must be a non-negative"),
 ])
 def test_parse_config_rejections(mutate, fragment):
     data = _tiny_config()
@@ -295,6 +310,27 @@ def test_exit_codes(tmp_path):
     good.write_text(json.dumps(_tiny_config()))
     assert cli.main(["simulate", "--config", str(good),
                      "--out", "/dev/null/nested"]) == 4
+    unmade = tmp_path / "unmade"
+    assert cli.main(["simulate", "--config", str(good), "--seed", "-1",
+                     "--out", str(unmade)]) == 2
+    assert not unmade.exists()
+    for bad_value in ({"sweep": {"min_trials": "abc"}}, {"master_seed": -1}):
+        data = _tiny_config()
+        data.update(bad_value)
+        bad_path = tmp_path / "bad_value.json"
+        bad_path.write_text(json.dumps(data))
+        assert cli.main(["simulate", "--config", str(bad_path),
+                         "--out", str(unmade)]) == 2
+    codec = '{"scheme": "repetition", "n": 2}'
+    out = str(tmp_path / "x.csv")
+    assert cli.main(["dimension", "--codec", codec, "--epsilons", "a,b",
+                     "--out", out]) == 2
+    assert cli.main(["dimension", "--codec", codec, "--seed", "-1",
+                     "--out", out]) == 2
+    assert cli.main(["stretch", "--codec", codec, "--deltas", "a",
+                     "--out", out]) == 2
+    assert cli.main(["stretch", "--codec", codec, "--seed", "-1",
+                     "--out", out]) == 2
     with pytest.raises(SystemExit) as err:
         cli.main(["confabulate"])
     assert err.value.code == 2
@@ -311,6 +347,22 @@ def test_cap_breach_in_a_later_curve_fails_before_any_sweep(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(cfg),
                      "--out", str(out)]) == 3
+    assert list(out.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("codec,code", [
+    ({"scheme": "shift_map", "n": 2}, 2),  # a family: no noise level to resolve it
+    ({"scheme": "shift_map", "n": 3, "a": 2000}, 3),  # 4e6 segments, over the cap
+])
+def test_bad_dimension_check_fails_before_any_csv(tmp_path, codec, code):
+    data = _tiny_config()
+    data["dimension_checks"] = [{"label": "dim", "codec": codec,
+                                 "epsilons": [0.1, 0.01], "samples": 1000}]
+    cfg = tmp_path / "check.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == code
     assert list(out.glob("*.csv")) == []
 
 

@@ -49,13 +49,13 @@ def test_greedy_equals_exhaustive_nearest(alpha, n):
 
     greedy = c.decode_bits(y)
     bitmat, values = exhaustive_patterns(depth, alpha)
-    for dim, plan in enumerate(c.plans):
+    for dim, stream in enumerate(c.streams):
         want = np.empty((y.shape[0], depth), dtype=np.uint8)
         for start in range(0, y.shape[0], 2000):
             r = y[start:start + 2000, dim]
             nearest = np.argmin(np.abs(r[:, None] - values[None, :]), axis=1)
             want[start:start + 2000] = bitmat[nearest]
-        np.testing.assert_array_equal(greedy[:, plan.source_bits], want)
+        np.testing.assert_array_equal(greedy[:, stream.data_bits], want)
 
 
 @pytest.mark.parametrize("alpha,n", [(3.0, 2), (4.0, 3)])
@@ -72,8 +72,8 @@ def test_separation_bound(alpha, n):
         import jscc.numrep as numrep
         ba = numrep.bits_from_ints(numrep.unit_fraction_ints(xa, c.spec.p), c.spec.p)
         bb = numrep.bits_from_ints(numrep.unit_fraction_ints(xb, c.spec.p), c.spec.p)
-        for dim, plan in enumerate(c.plans):
-            diff = ba[:, plan.source_bits] != bb[:, plan.source_bits]
+        for dim, stream in enumerate(c.streams):
+            diff = ba[:, stream.data_bits] != bb[:, stream.data_bits]
             has = diff.any(axis=1)
             if not has.any():
                 continue
@@ -96,8 +96,8 @@ def test_prefix_correct_under_bounded_noise():
     margin = 0.95 * (alpha - 2.0) * alpha ** -(depth_checked + 1.0) / 2.0
     noise = margin * np.where(rng.random((x.size, n)) < 0.5, -1.0, 1.0)
     got = c.decode_bits(s + noise)
-    for dim, plan in enumerate(c.plans):
-        keep = plan.source_bits[:depth_checked]
+    for dim, stream in enumerate(c.streams):
+        keep = stream.data_bits[:depth_checked]
         np.testing.assert_array_equal(got[:, keep], true_bits[:, keep])
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jscc.codecs import CodecSpec, build_codec
-from jscc.codecs.layered import build_streams, group_size, scheme2_layout
+from jscc.codecs.layered import build_streams, group_size
 
 
 def make(n, variant="standard", p=48):
@@ -21,10 +21,13 @@ def test_layout_example_two_dims():
 
 
 def test_first_n_groups_cover_triangle():
+    # The first n groups hold the first n(n+1)/2 bits: group d+1 is exactly
+    # the d+1 bits of stream d, followed by its separator.
     for n in (2, 3, 4, 5):
-        entries = scheme2_layout(n, n_groups=n)
-        assert sum(e.size for e in entries) == n * (n + 1) // 2
-        assert [e.dim for e in entries] == list(range(1, n + 1))
+        streams = build_streams(n, n * (n + 1) // 2)
+        for d, stream in enumerate(streams):
+            first = d * (d + 1) // 2
+            assert stream.slots.tolist() == list(range(first, first + d + 1)) + [-1]
 
 
 def test_shifted_group_sizes():

@@ -12,7 +12,6 @@ from jscc.numrep import (
     FixedPointSample,
     bits_from_ints,
     draw_source,
-    eval_base_alpha,
     from_bits,
     split_integer,
     split_integer_array,
@@ -113,29 +112,6 @@ def test_values_from_bit_rows_matches_scalar():
     for row, v in zip(bits, vec):
         assert v == from_bits(FixedPointSample(bits=tuple(int(b) for b in row)),
                               midpoint_fill=True)
-
-
-def test_eval_base_alpha_geometric_series():
-    # All-ones digit string: sum_{i=1}^{L} a^-i = (1 - a^-L) / (a - 1).
-    for alpha, length in [(4.0, 24), (3.0, 30), (2.5, 20)]:
-        got = eval_base_alpha((1,) * length, alpha)
-        want = (1.0 - alpha ** -length) / (alpha - 1.0)
-        assert got == pytest.approx(want, rel=1e-14)
-    assert eval_base_alpha((1,) * 24, 4.0) == pytest.approx(1.0 / 3.0, abs=4.0 ** -23)
-
-
-def test_eval_base_alpha_single_digits():
-    assert eval_base_alpha((1, 0, 0), 4.0) == 0.25
-    assert eval_base_alpha((0, 1), 4.0) == 0.0625
-    assert eval_base_alpha((), 3.0) == 0.0
-
-
-def test_eval_base_alpha_guards_base_two():
-    with pytest.raises(ValueError):
-        eval_base_alpha((1, 0), 2.0)
-    assert eval_base_alpha((1, 0), 2.0, allow_base_two=True) == 0.5
-    with pytest.raises(ValueError):
-        eval_base_alpha((1,), 1.7)
 
 
 def test_split_integer_example():
