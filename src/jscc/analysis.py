@@ -188,24 +188,61 @@ class DimensionEstimate:
     saturated: bool
 
 
-def _box_count(points: np.ndarray, eps: float) -> np.ndarray:
-    # Grid anchored at the origin, boxes half-open.
-    idx = np.floor(points / eps).astype(np.int64)
-    return np.unique(idx, axis=0)
+# Box indices and packed box keys stay below this in magnitude, so every
+# product and sum in the key fold fits in int64.
+_KEY_LIMIT = 2 ** 62
+
+
+def _dense_ranks(parts):
+    """Each value's rank among the distinct values of all parts, and their count."""
+    distinct, ranks = np.unique(np.concatenate(parts), return_inverse=True)
+    return np.split(ranks, np.cumsum([len(p) for p in parts[:-1]])), distinct.size
+
+
+def _box_keys(point_sets, lo, hi, eps: float):
+    """One int64 key per point, equal exactly when two points share a box.
+
+    The grid is anchored at the origin with half-open boxes of side eps.
+    Each column's box index is offset by its minimum over all sets
+    (floor(lo / eps)) and folded into a mixed-radix key; before the radix
+    would pass _KEY_LIMIT the partial key, and if need be the column, is
+    replaced by its dense ranks over all sets, which keeps the key exact.
+    """
+    keys = [np.zeros(len(p), dtype=np.int64) for p in point_sets]
+    radix = 1
+    for j in range(lo.size):
+        offset = math.floor(lo[j] / eps)
+        span = math.floor(hi[j] / eps) - offset + 1
+        cols = [np.floor(p[:, j] / eps).astype(np.int64) - offset
+                for p in point_sets]
+        if radix * span > _KEY_LIMIT:
+            keys, radix = _dense_ranks(keys)
+            if radix * span > _KEY_LIMIT:
+                cols, span = _dense_ranks(cols)
+        for key, col in zip(keys, cols):
+            key *= span
+            key += col
+        radix *= span
+    return keys
 
 
 def boxcount_dimension(sampler, epsilons, samples_per_eps: int,
                        rng: np.random.Generator | None = None) -> DimensionEstimate:
     """Box-counting dimension of a sampled point set.
 
-    sampler(count, rng) must return a (count, d) array of points.  For each
-    box size the occupied-box count is taken at samples_per_eps and again at
-    double that; the estimate is flagged unsaturated if any count still moved
-    by 2 percent or more, meaning the sampling was too sparse to trust.
+    sampler(count, rng) must return a (count, d) array of finite points.  For
+    each box size the occupied-box count is taken at samples_per_eps and
+    again at double that; the estimate is flagged unsaturated if any count
+    still moved by 2 percent or more, meaning the sampling was too sparse to
+    trust.  Boxes are half-open on a grid anchored at the origin, and each
+    occupied box is counted through one exact int64 key per point; box
+    indices must stay below 2**62 in magnitude.
     """
     eps = np.asarray(epsilons, dtype=np.float64).ravel()
     if eps.size < 2:
         raise ValueError("need at least two box sizes")
+    if not np.all(np.isfinite(eps)):
+        raise ValueError("box sizes must be finite")
     if np.any(eps <= 0.0) or np.any(np.diff(eps) >= 0.0):
         raise ValueError("box sizes must be positive and strictly decreasing")
     if samples_per_eps < 1:
@@ -216,12 +253,22 @@ def boxcount_dimension(sampler, epsilons, samples_per_eps: int,
     pts_b = np.asarray(sampler(samples_per_eps, rng), dtype=np.float64)
     if pts_a.ndim != 2 or pts_b.shape != pts_a.shape:
         raise ValueError("sampler must return (count, d) arrays")
+    lo = np.minimum(pts_a.min(axis=0), pts_b.min(axis=0))
+    hi = np.maximum(pts_a.max(axis=0), pts_b.max(axis=0))
+    # min and max propagate NaN, and an infinity is an extreme.
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("sampler returned non-finite points")
+    # |p| / eps peaks at an extreme coordinate and the smallest box size, so
+    # this bounds every box index of every epsilon.
+    if np.max(np.maximum(np.abs(lo), np.abs(hi))) / eps[-1] >= _KEY_LIMIT:
+        raise ValueError(f"box indices reach 2**62 at box size {float(eps[-1])!r}")
     counts = []
     saturated = True
     for e in eps:
-        boxes_a = _box_count(pts_a, e)
-        boxes_all = np.unique(np.vstack([boxes_a, _box_count(pts_b, e)]), axis=0)
-        m1, m2 = len(boxes_a), len(boxes_all)
+        keys_a, keys_b = _box_keys((pts_a, pts_b), lo, hi, float(e))
+        boxes_a = np.unique(keys_a)
+        m1 = boxes_a.size
+        m2 = np.unique(np.concatenate([boxes_a, keys_b])).size
         if m2 - m1 >= 0.02 * m1:
             saturated = False
         counts.append(m2)

@@ -155,7 +155,10 @@ def _check_label(label, where: str) -> str:
 def _grid_from(data, where: str) -> tuple:
     _require(isinstance(data, (list, tuple)) and len(data) > 0,
              f"{where}: snr grid must be a non-empty list")
-    return tuple(_number(v, float, f"{where}: snr grid entry") for v in data)
+    grid = tuple(_number(v, float, f"{where}: snr grid entry") for v in data)
+    _require(all(math.isfinite(v) for v in grid),
+             f"{where}: snr grid entries must be finite")
+    return grid
 
 
 def parse_config(data) -> Experiment:
@@ -607,9 +610,12 @@ def run_simulate(args) -> int:
 
     for check_index, (job, codec) in enumerate(zip(exp.dimension_checks, check_codecs)):
         rng = channel.derived_rng(exp.master_seed, 0xD1, check_index)
-        est = analysis.boxcount_dimension(
-            analysis.constellation_sampler(codec), job.epsilons, job.samples,
-            rng=rng)
+        try:
+            est = analysis.boxcount_dimension(
+                analysis.constellation_sampler(codec), job.epsilons, job.samples,
+                rng=rng)
+        except ValueError as exc:
+            raise ConfigError(f"dimension check {job.label!r}: {exc}") from exc
         write_boxcount_csv(os.path.join(out_dir, _safe_name(job.label) + ".csv"), est)
         summary.append(f"dimension {job.label}: fitted {est.fitted_dimension:.4f}, "
                        f"saturated {int(est.saturated)}, "

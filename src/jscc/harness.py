@@ -68,6 +68,8 @@ class SweepPlan:
     def __post_init__(self):
         grid = tuple(float(v) for v in self.snr_grid_db)
         object.__setattr__(self, "snr_grid_db", grid)
+        if not all(math.isfinite(v) for v in grid):
+            raise ValueError("snr grid entries must be finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr grid must be strictly increasing")
         if self.min_trials < 1:

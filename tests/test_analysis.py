@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from jscc import analysis
 from jscc.analysis import (
@@ -294,6 +294,22 @@ def test_boxcount_validation():
         boxcount_dimension(_square_sampler, np.array([0.25]), 100)
     with pytest.raises(ValueError):
         boxcount_dimension(_square_sampler, np.array([0.25, 0.125]), 0)
+    with pytest.raises(ValueError, match="finite"):
+        boxcount_dimension(_square_sampler, np.array([np.inf, 0.125]), 100)
+    with pytest.raises(ValueError, match="finite"):
+        boxcount_dimension(_square_sampler, np.array([0.25, np.nan]), 100)
+
+    def with_nan(count, rng):
+        pts = rng.random((count, 2))
+        pts[-1, 1] = np.nan
+        return pts
+
+    with pytest.raises(ValueError, match="non-finite"):
+        boxcount_dimension(with_nan, np.array([0.25, 0.125]), 100)
+    # Points in [1, 2) reach box index 2**62 at box size 2**-62.
+    with pytest.raises(ValueError, match="2\\*\\*62"):
+        boxcount_dimension(lambda count, rng: 1.0 + rng.random((count, 2)),
+                           np.array([0.25, 2.0 ** -62]), 100)
 
 
 def test_boxcount_deterministic_default_seed():
@@ -301,6 +317,77 @@ def test_boxcount_deterministic_default_seed():
     a = boxcount_dimension(_segment_sampler, eps, 20_000)
     b = boxcount_dimension(_segment_sampler, eps, 20_000)
     assert a == b
+
+
+def _reference_box_counts(pts_a, pts_b, eps):
+    """Occupied-box counts and saturation through row-wise np.unique(axis=0)."""
+    counts, saturated = [], True
+    for e in eps:
+        boxes_a = np.unique(np.floor(pts_a / e).astype(np.int64), axis=0)
+        boxes_b = np.unique(np.floor(pts_b / e).astype(np.int64), axis=0)
+        m1, m2 = len(boxes_a), len(np.unique(np.vstack([boxes_a, boxes_b]), axis=0))
+        if m2 - m1 >= 0.02 * m1:
+            saturated = False
+        counts.append(m2)
+    return tuple(counts), saturated
+
+
+_WRAP_CODEC = build_codec(CodecSpec("unbounded_wrap", n=3, p=24))
+
+
+@st.composite
+def _box_inputs(draw):
+    """Two equally sized point sets with duplicates and negative coordinates,
+    or two draws of an unbounded_wrap constellation, plus box sizes."""
+    count = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 8))
+        coord = st.floats(-1e3, 1e3, allow_nan=False)
+        pool = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                                      min_size=1, max_size=count)))
+        picks = st.lists(st.integers(0, len(pool) - 1),
+                         min_size=count, max_size=count)
+        pts_a, pts_b = pool[draw(picks)], pool[draw(picks)]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        sample = constellation_sampler(_WRAP_CODEC)
+        pts_a, pts_b = sample(count, rng), sample(count, rng)
+    exps = draw(st.lists(st.floats(-9.0, 2.0), min_size=2, max_size=5, unique=True))
+    eps = 10.0 ** np.sort(np.array(exps))[::-1]
+    return pts_a, pts_b, eps
+
+
+# At d = 8, boxes of 1e-6 give about 2**31 indices per column, so the packed
+# key would pass 2**62 after two columns and the dense-rank step must run.
+_WIDE_POOL = np.random.default_rng(8).uniform(-1e3, 1e3, (30, 8))
+_WIDE = (_WIDE_POOL[np.arange(50) % 30], _WIDE_POOL[np.arange(50) % 7],
+         np.array([1.0, 1e-3, 1e-6]))
+# Without the dense-rank step the packed key wraps int64 at box size 1: spans
+# 2, 2**32, 2**32 put (1, 0, 0) on the key of (0, 0, 0); without ranking the
+# column, spans 513, 2**63 - 1023 put (512, low + 512 * 1023) on (0, low).
+_EDGE = 2.0 ** 62 - 512
+_WRAP_KEY = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                      [0.0, 2.0 ** 32 - 1, 2.0 ** 32 - 1]])
+_WRAP_COLUMN = np.vstack([
+    np.column_stack([np.arange(513.0), np.full(513, -_EDGE)]),
+    [[0.0, _EDGE], [512.0, -_EDGE + 512 * 1023]]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_box_inputs())
+@example(_WIDE)
+@example((_WRAP_KEY, _WRAP_KEY, np.array([2.0, 1.0])))
+@example((_WRAP_COLUMN, _WRAP_COLUMN, np.array([2.0, 1.0])))
+def test_boxcount_matches_row_unique_oracle(case):
+    pts_a, pts_b, eps = case
+    assume(np.all(np.diff(eps) < 0.0))
+    sets = iter((pts_a, pts_b))
+    est = boxcount_dimension(lambda count, rng: next(sets), eps, len(pts_a))
+    counts, saturated = _reference_box_counts(pts_a, pts_b, eps)
+    assert est.counts == counts
+    assert est.saturated == saturated
+    x, y = np.log(1.0 / eps), np.log(np.asarray(counts, dtype=np.float64))
+    assert est.fitted_dimension == float(np.polyfit(x, y, 1)[0])
 
 
 # ---------------------------------------------------------------------------

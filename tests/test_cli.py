@@ -115,6 +115,12 @@ def test_parse_config_happy_path():
     (_with_check(epsilons=["x", 0.1]), "epsilon must be a number"),
     (lambda d: d["sweep"].update(min_trials="abc"), "min_trials must be an integer"),
     (lambda d: d.update(master_seed=-1), "master_seed must be a non-negative"),
+    (lambda d: d.update(snr_grid_db=[10.0, math.nan]),
+     "snr_grid_db: snr grid entries must be finite"),
+    (lambda d: d["curves"][0].update(snr_grid_db=[math.inf]),
+     "curves[0].snr_grid_db: snr grid entries"),
+    (lambda d: d["curves"][0].update(snr_grid_db=[-math.inf, 0.0]),
+     "curves[0].snr_grid_db: snr grid entries must be finite"),
 ])
 def test_parse_config_rejections(mutate, fragment):
     data = _tiny_config()
@@ -314,13 +320,24 @@ def test_exit_codes(tmp_path):
     assert cli.main(["simulate", "--config", str(good), "--seed", "-1",
                      "--out", str(unmade)]) == 2
     assert not unmade.exists()
-    for bad_value in ({"sweep": {"min_trials": "abc"}}, {"master_seed": -1}):
+    for bad_value in ({"sweep": {"min_trials": "abc"}}, {"master_seed": -1},
+                      {"snr_grid_db": [math.nan]}):
         data = _tiny_config()
         data.update(bad_value)
         bad_path = tmp_path / "bad_value.json"
         bad_path.write_text(json.dumps(data))
         assert cli.main(["simulate", "--config", str(bad_path),
                          "--out", str(unmade)]) == 2
+    assert not unmade.exists()
+    wide = _tiny_config()
+    wide["curves"], wide["overlays"] = [], []
+    wide["dimension_checks"] = [{"label": "wide",
+                                 "codec": {"scheme": "unbounded_wrap", "n": 2},
+                                 "epsilons": [0.1, 1e-300], "samples": 100}]
+    wide_path = tmp_path / "wide.json"
+    wide_path.write_text(json.dumps(wide))
+    assert cli.main(["simulate", "--config", str(wide_path),
+                     "--out", str(tmp_path / "wide")]) == 2
     codec = '{"scheme": "repetition", "n": 2}'
     out = str(tmp_path / "x.csv")
     assert cli.main(["dimension", "--codec", codec, "--epsilons", "a,b",

@@ -149,3 +149,6 @@ def test_plan_validation():
         SweepPlan(codec=spec, snr_grid_db=(10.0,), min_trials=200, max_trials=100)
     with pytest.raises(ValueError):
         SweepPlan(codec=spec, snr_grid_db=(10.0,), min_trials=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SweepPlan(codec=spec, snr_grid_db=(10.0, bad))
