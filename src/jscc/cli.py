@@ -568,11 +568,27 @@ def _checked_codec(job: DimensionJob):
         raise ConfigError(f"dimension check {job.label!r}: {exc}") from exc
 
 
+def _dimension_estimate(job: DimensionJob, codec, master_seed: int, index: int):
+    """Box-count one dimension check; a bad box size or sample exits 2."""
+    rng = channel.derived_rng(master_seed, 0xD1, index)
+    try:
+        return analysis.boxcount_dimension(
+            analysis.constellation_sampler(codec), job.epsilons, job.samples,
+            rng=rng)
+    except ValueError as exc:
+        raise ConfigError(f"dimension check {job.label!r}: {exc}") from exc
+
+
 def run_simulate(args) -> int:
     exp = _load_experiment(args)
     workers = _resolve_workers(args.workers)
     plans = [_checked_plan(job, exp) for job in exp.curves]
     check_codecs = [_checked_codec(job) for job in exp.dimension_checks]
+    # Box counting draws from its own streams, so running it before the
+    # sweeps leaves every number as it was and lets a bad check fail first.
+    estimates = [_dimension_estimate(job, codec, exp.master_seed, index)
+                 for index, (job, codec)
+                 in enumerate(zip(exp.dimension_checks, check_codecs))]
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
 
@@ -608,14 +624,7 @@ def run_simulate(args) -> int:
             summary.append(f"overlay {job.label}: anchored to {job.anchor}, "
                            f"scale {fitted.scale:.6g}")
 
-    for check_index, (job, codec) in enumerate(zip(exp.dimension_checks, check_codecs)):
-        rng = channel.derived_rng(exp.master_seed, 0xD1, check_index)
-        try:
-            est = analysis.boxcount_dimension(
-                analysis.constellation_sampler(codec), job.epsilons, job.samples,
-                rng=rng)
-        except ValueError as exc:
-            raise ConfigError(f"dimension check {job.label!r}: {exc}") from exc
+    for job, est in zip(exp.dimension_checks, estimates):
         write_boxcount_csv(os.path.join(out_dir, _safe_name(job.label) + ".csv"), est)
         summary.append(f"dimension {job.label}: fitted {est.fitted_dimension:.4f}, "
                        f"saturated {int(est.saturated)}, "

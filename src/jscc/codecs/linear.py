@@ -6,8 +6,9 @@ import numpy as np
 
 from .base import Codec, CodecSpec, CapacityError, SEGMENT_CAP
 
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-GOLDEN_ITERS = 48
+NEWTON_STEPS = 5
+# Correlations held at once by the spherical grid search.
+GRID_SCORES = 1 << 19
 
 
 def optimal_a(sigma: float, n: int) -> tuple[int, bool]:
@@ -49,9 +50,21 @@ class ShiftMapCodec(Codec):
     affine shift keeps the two ends of the source interval at the two far
     ends of the folded curve; wrapping x instead would park them side by
     side mid-curve, where boundary noise swaps them at cost O(1) per event.
-    The image is a stack of prod(b) parallel segments; decoding projects the
-    received point onto every segment and keeps the closest.
+    The image is a stack of prod(b) parallel segments, segment t covering
+    x' in [t/B, (t+1)/B) with B = prod(b).
+
+    Decoding is exact ML: the nearest point over all segments, ties going
+    to the smaller source value.  Because s_1 = x' is unstretched, the
+    squared distance to segment t is at least dist(y_1, [t/B, (t+1)/B])^2,
+    the pruning bound of a closest-point search (Agrell et al. 2002).  The
+    search scores one segment per point, picked by rounding stage by stage,
+    then only the segments whose bound stays within that distance plus a
+    rounding margin.  Each distance is formed term by term as a scan of
+    every segment forms it, so the result is the same to the bit.
     """
+
+    # Segment-point pairs scored per vectorized block of the search.
+    _PAIRS = 1 << 13
 
     def __init__(self, spec: CodecSpec):
         super().__init__(spec)
@@ -65,9 +78,20 @@ class ShiftMapCodec(Codec):
                 f"{self.segments} segments exceed the cap {SEGMENT_CAP}")
         self.gain_sq = float(self.gains @ self.gains)
         t = np.arange(self.segments, dtype=np.int64)
-        # Integer offsets of each dimension on segment t, exact by construction.
-        self.offsets = (self.gains.astype(np.int64)[None, :] * t[:, None]) // self.segments
-        self.off_dot_g = (self.offsets * self.gains[None, :]).sum(axis=1)
+        # Integer offsets c of each dimension on segment t, exact by
+        # construction; offset 0 is 0 on every segment.
+        offsets = (self.gains.astype(np.int64)[None, :] * t[:, None]) // self.segments
+        # One row per quantity the search reads for segment t: c.g, the
+        # first-coordinate interval, |c|^2, then offsets 1..n-1.
+        inv_b = 1.0 / self.segments
+        self._table = np.vstack([
+            offsets @ self.gains, t * inv_b, (t + 1) * inv_b,
+            (offsets * offsets).sum(axis=1), offsets[:, 1:].T,
+        ]).astype(np.float64)
+        # The computed distance is within (n + 6) u M of the exact one, with
+        # u the unit roundoff and M = (|y| + 2 sqrt(G))^2; twice that is the
+        # margin a segment's lower bound may exceed the best distance by.
+        self._round_err = 2.0 * (spec.n + 6) * (np.finfo(np.float64).eps / 2.0)
 
     def encode(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -78,24 +102,88 @@ class ShiftMapCodec(Codec):
             s[:, i + 1] = np.mod(m * s[:, i], 1.0)
         return s
 
+    def _distances(self, t, y, y_dot_g, y_sq):
+        """Squared distance from received point j to segment t[..., j], and
+        the source value of the closest point on that segment.
+
+        y holds the points' coordinates as rows, y_dot_g and y_sq their dot
+        with the gains and their squared norm.  Every term is formed as in
+        a scan of all segments, so the result is the same to the bit.
+        """
+        tab = self._table.take(t, axis=1)
+        num = y_dot_g + tab[0]
+        proj = np.minimum(np.maximum(num / self.gain_sq, tab[1]), tab[2])
+        y_c = y[1] * tab[4]
+        for i in range(2, self.spec.n):
+            y_c += y[i] * tab[3 + i]
+        r_sq = y_sq + 2.0 * y_c + tab[3]
+        d = r_sq - 2.0 * proj * num + proj * proj * self.gain_sq
+        return d, proj - 0.5
+
     def decode(self, y, sigma=0.0):
         y = np.asarray(y, dtype=np.float64)
-        inv_b = 1.0 / self.segments
+        segs = self.segments
+        cols = np.ascontiguousarray(y.T)
+        y1 = cols[0]
         y_dot_g = y @ self.gains
-        y_sq = (y * y).sum(axis=1)
+        y_sq = y1 * y1
+        for y_i in cols[1:]:
+            y_sq += y_i * y_i
+        # Start from the segment that successive rounding picks: stage i
+        # fixes the offset c_i, the integer part of g_i x', that best
+        # explains y_i, and the last offset is the segment index itself.
+        est = y1
+        for g, y_i in zip(self.gains[1:], cols[1:]):
+            c = np.rint(g * est - y_i)
+            est = (c + y_i) / g
+        t0 = np.fmax(np.fmin(c, segs - 1), 0).astype(np.int64)
         best_d = np.full(y.shape[0], np.inf)
         best_x = np.zeros(y.shape[0])
-        for t in range(self.segments):
-            c = self.offsets[t]
-            num = y_dot_g + self.off_dot_g[t]
-            proj = np.clip(num / self.gain_sq, t * inv_b, (t + 1) * inv_b)
-            r_sq = y_sq + 2.0 * (y @ c) + float(c @ c)
-            d = r_sq - 2.0 * proj * num + proj * proj * self.gain_sq
-            src = proj - 0.5
-            take = (d < best_d) | ((d == best_d) & (src < best_x))
-            best_d = np.where(take, d, best_d)
-            best_x = np.where(take, src, best_x)
+        _keep_best(best_d, best_x, *self._distances(t0, cols, y_dot_g, y_sq))
+
+        # Every segment that can beat or tie the start lies within reach of
+        # y_1 on the first axis.  The reach is inflated and the index range
+        # padded to cover their own rounding; a NaN bound keeps the start.
+        margin = self._round_err * np.square(np.sqrt(y_sq) + 2.0 * math.sqrt(self.gain_sq))
+        reach = np.sqrt(best_d + margin) * (1.0 + 4.0 * self._round_err)
+        pad = self._round_err * segs * (2.0 + np.abs(y1) + reach)
+        first = np.fmax(np.fmin(np.floor((y1 - reach) * segs - pad), t0), 0).astype(np.int64)
+        last = np.fmin(np.fmax(np.floor((y1 + reach) * segs + pad), t0), segs - 1).astype(np.int64)
+        rows = np.flatnonzero(last > first)
+        # Score the windows in blocks of one power-of-two width class, entry
+        # (k, j) of a block being segment first + k of row j, held at the
+        # row's last segment.
+        widths = last[rows] - first[rows] + 1
+        width_class = np.frexp(widths)[1]
+        order = np.argsort(-width_class.astype(np.int8), kind="stable")
+        rows, widths, width_class = rows[order], widths[order], width_class[order]
+        class_end = np.searchsorted(-width_class, -width_class, side="right")
+        start = 0
+        while start < rows.size:
+            stop = min(class_end[start], start + max(1, self._PAIRS >> width_class[start]))
+            r = rows[start:stop]
+            r_first, r_last = first.take(r), last.take(r)
+            r_cols, r_dot_g, r_y_sq = cols.take(r, axis=1), y_dot_g.take(r), y_sq.take(r)
+            bd, bx = best_d.take(r), best_x.take(r)
+            width = widths[start:stop].max()
+            for k in range(0, width, self._PAIRS):
+                t = np.minimum(r_first + np.arange(k, min(width, k + self._PAIRS))[:, None],
+                               r_last)
+                d, x = self._distances(t, r_cols, r_dot_g, r_y_sq)
+                d_min = np.fmin.reduce(d, axis=0)
+                x_min = np.fmin.reduce(np.where(d == d_min, x, np.inf), axis=0)
+                _keep_best(bd, bx, d_min, x_min)
+            best_d[r], best_x[r] = bd, bx
+            start = stop
         return best_x
+
+
+def _keep_best(best_d, best_x, d, x):
+    """Keep, per row, the smaller (distance, source) pair in place; a NaN
+    distance never wins."""
+    take = (d < best_d) | ((d == best_d) & (x < best_x))
+    np.copyto(best_d, d, where=take)
+    np.copyto(best_x, x, where=take)
 
 
 class SphericalCodec(Codec):
@@ -103,7 +191,8 @@ class SphericalCodec(Codec):
 
     Output packs the n cosines first, then the n sines, scaled to unit norm.
     Decoding maximizes correlation over a precomputed grid, then refines the
-    winning cell with a fixed number of golden-section steps.
+    winner with a fixed number of Newton steps on the correlation's
+    derivative, clipped to the grid cells on either side of the winner.
     """
 
     def __init__(self, spec: CodecSpec):
@@ -125,12 +214,6 @@ class SphericalCodec(Codec):
         x = np.asarray(x, dtype=np.float64)
         return self._points(x + 0.5)
 
-    def _corr(self, unit_x, y):
-        phases = np.multiply.outer(unit_x, self.freqs)
-        c = (np.cos(phases) * y[:, : self.spec.n]).sum(axis=1)
-        s = (np.sin(phases) * y[:, self.spec.n:]).sum(axis=1)
-        return self.scale * (c + s)
-
     def _corr_derivs(self, unit_x, y):
         phases = np.multiply.outer(unit_x, self.freqs)
         yc = y[:, : self.spec.n]
@@ -142,29 +225,19 @@ class SphericalCodec(Codec):
 
     def decode(self, y, sigma=0.0):
         y = np.asarray(y, dtype=np.float64)
-        win = np.argmax(y @ self.grid_table.T, axis=1)
+        # Score the grid a bounded block of rows at a time.
+        rows = max(1, GRID_SCORES // len(self.grid_x))
+        win = np.empty(y.shape[0], dtype=np.intp)
+        for i in range(0, y.shape[0], rows):
+            win[i:i + rows] = np.argmax(y[i:i + rows] @ self.grid_table.T, axis=1)
         step = 1.0 / len(self.grid_x)
-        lo = self.grid_x[win] - step
-        hi = self.grid_x[win] + step
-        cell_lo, cell_hi = lo.copy(), hi.copy()
-        # Golden-section maximization of the correlation on the winning cell.
-        c = hi - (hi - lo) * INV_PHI
-        d = lo + (hi - lo) * INV_PHI
-        fc = self._corr(c, y)
-        fd = self._corr(d, y)
-        for _ in range(GOLDEN_ITERS):
-            c_wins = fc > fd
-            hi = np.where(c_wins, d, hi)
-            lo = np.where(c_wins, lo, c)
-            c = hi - (hi - lo) * INV_PHI
-            d = lo + (hi - lo) * INV_PHI
-            fc = self._corr(c, y)
-            fd = self._corr(d, y)
-        mid = 0.5 * (lo + hi)
-        # Value comparisons flatten out near the peak (the correlation is
-        # locally quadratic), stalling golden section around sqrt(eps); a few
-        # derivative steps push the stationary point to full precision.
-        for _ in range(3):
+        mid = self.grid_x[win]
+        cell_lo, cell_hi = mid - step, mid + step
+        # The grid spacing is at most 1/32 of the fastest period, so the
+        # winner sits on the concave cap of its peak, where Newton steps
+        # converge quadratically; a step where the curvature is not
+        # negative is skipped.
+        for _ in range(NEWTON_STEPS):
             d1, d2 = self._corr_derivs(mid, y)
             delta = np.where(d2 < 0.0, d1 / d2, 0.0)
             mid = np.clip(mid - delta, cell_lo, cell_hi)

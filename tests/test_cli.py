@@ -329,15 +329,19 @@ def test_exit_codes(tmp_path):
         assert cli.main(["simulate", "--config", str(bad_path),
                          "--out", str(unmade)]) == 2
     assert not unmade.exists()
-    wide = _tiny_config()
-    wide["curves"], wide["overlays"] = [], []
-    wide["dimension_checks"] = [{"label": "wide",
-                                 "codec": {"scheme": "unbounded_wrap", "n": 2},
-                                 "epsilons": [0.1, 1e-300], "samples": 100}]
-    wide_path = tmp_path / "wide.json"
-    wide_path.write_text(json.dumps(wide))
-    assert cli.main(["simulate", "--config", str(wide_path),
-                     "--out", str(tmp_path / "wide")]) == 2
+    for with_curve in (False, True):
+        wide = _tiny_config()
+        if not with_curve:
+            wide["curves"], wide["overlays"] = [], []
+        wide["dimension_checks"] = [{"label": "wide",
+                                     "codec": {"scheme": "unbounded_wrap", "n": 2},
+                                     "epsilons": [0.1, 1e-300], "samples": 100}]
+        wide_path = tmp_path / "wide.json"
+        wide_path.write_text(json.dumps(wide))
+        wide_out = tmp_path / f"wide{int(with_curve)}"
+        assert cli.main(["simulate", "--config", str(wide_path),
+                         "--out", str(wide_out)]) == 2
+        assert not wide_out.exists()
     codec = '{"scheme": "repetition", "n": 2}'
     out = str(tmp_path / "x.csv")
     assert cli.main(["dimension", "--codec", codec, "--epsilons", "a,b",

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from jscc import channel
 from jscc.codecs import CodecSpec, build_codec, CapacityError
 from jscc.codecs.linear import optimal_a
 
@@ -118,9 +119,9 @@ def test_shiftmap_decode_matches_dense_grid():
     decoded_unit = np.mod(c.decode(y) + 0.5, 1.0)
 
     worst = 0.0
-    chunk = 200_000
-    for start in range(0, trials, 50):
-        block = y[start:start + 50]
+    rows, chunk = 50, 8192  # one score block stays in cache
+    for start in range(0, trials, rows):
+        block = y[start:start + rows]
         best_val = np.full(block.shape[0], np.inf)
         best_idx = np.zeros(block.shape[0], dtype=np.int64)
         for g0 in range(0, m, chunk):
@@ -131,9 +132,74 @@ def test_shiftmap_decode_matches_dense_grid():
             best_val = np.where(better, val, best_val)
             best_idx = np.where(better, g0 + local, best_idx)
         pick = grid_unit[best_idx]
-        diff = np.abs(decoded_unit[start:start + 50] - pick)
+        diff = np.abs(decoded_unit[start:start + rows] - pick)
         worst = max(worst, np.max(np.minimum(diff, 1.0 - diff)))
     assert worst <= 2.0 / m
+
+
+def _segment_distance(c, y, t):
+    """Squared distance from each row of y to segment t of a shift map, and
+    the source value of the nearest point, by the expanded formula."""
+    off = (c.gains.astype(np.int64) * t) // c.segments
+    num = y @ c.gains + float(off @ c.gains)
+    proj = np.clip(num / c.gain_sq, t * (1.0 / c.segments), (t + 1) * (1.0 / c.segments))
+    # y.off and |y|^2 as left folds over the dimensions, the order the
+    # decoder uses; a BLAS dot product may round differently.
+    y_c = y[:, 1] * off[1]
+    for i in range(2, c.spec.n):
+        y_c = y_c + y[:, i] * off[i]
+    y_sq = y[:, 0] * y[:, 0]
+    for i in range(1, c.spec.n):
+        y_sq = y_sq + y[:, i] * y[:, i]
+    r_sq = y_sq + 2.0 * y_c + float(off @ off)
+    return r_sq - 2.0 * proj * num + proj * proj * c.gain_sq, proj - 0.5
+
+
+def _dense_shiftmap_decode(c, y):
+    """Exact ML over every segment in turn; a tie goes to the smaller source."""
+    best_d = np.full(y.shape[0], np.inf)
+    best_x = np.zeros(y.shape[0])
+    for t in range(c.segments):
+        d, src = _segment_distance(c, y, t)
+        take = (d < best_d) | ((d == best_d) & (src < best_x))
+        best_d = np.where(take, d, best_d)
+        best_x = np.where(take, src, best_x)
+    return best_x
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.sampled_from([2, 3, 4]), snr_db=st.sampled_from(range(0, 81, 2)),
+       fixed_a=st.sampled_from([None, 2, 3]), seed=st.integers(0, 2 ** 32 - 1))
+def test_shiftmap_decode_matches_dense_scan_bit_for_bit(n, snr_db, fixed_a, seed):
+    sigma = channel.sigma_from_snr_db(snr_db)
+    a = fixed_a if fixed_a is not None else optimal_a(sigma, n)[0]
+    assume(a ** (n - 1) <= 2 ** 14)  # keeps the dense scan quick
+    c = make("shift_map", n=n, a=a)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-0.5, 0.5, 48)
+    x[:4] = [-0.5, np.nextafter(0.5, 0.0), 0.0, -0.25]
+    # Noise at the channel level, scaled to the constellation's 1/12 power.
+    y = c.encode(x) + sigma / math.sqrt(12.0) * rng.standard_normal((x.size, n))
+    y[-8:, 0] = rng.choice([-1.5, -0.5, -1e-9, 1.0, 1.5, 2.5], 8)  # y_1 off [0, 1)
+    out = c.decode(y)
+    np.testing.assert_array_equal(out.view(np.int64),
+                                  _dense_shiftmap_decode(c, y).view(np.int64))
+
+
+def test_shiftmap_exact_tie_goes_to_smaller_source():
+    # Points on the plane halfway between segments 3 and 4 of the a=8 map are
+    # equidistant from both; keep those whose two computed distances agree
+    # to the bit, which the search must break exactly as the dense scan does.
+    c = make("shift_map", n=2, a=8)
+    u = np.linspace(0.44, 0.56, 2001)
+    y = np.stack([u, 8.0 * u - 3.5], axis=1)
+    (d3, x3), (d4, _) = (_segment_distance(c, y, t) for t in (3, 4))
+    tie = d3 == d4
+    assert tie.sum() >= 10
+    y = np.vstack([y[tie], [[np.nan, 0.5], [0.5, np.nan]]])
+    out = c.decode(y)
+    np.testing.assert_array_equal(out[:-2], x3[tie])
+    np.testing.assert_array_equal(out, _dense_shiftmap_decode(c, y))
 
 
 # ------------------------------------------------------------ optimal stretch
@@ -213,6 +279,52 @@ def test_spherical_decode_matches_denser_grid(a, n):
     d_dec = ((y - c._points(decoded_unit)) ** 2).sum(axis=1)
     d_grid = ((y - c._points(pick)) ** 2).sum(axis=1)
     assert np.all(d_dec <= d_grid + 1e-12)
+
+
+def _correlation(c, unit_x, y):
+    phases = np.multiply.outer(unit_x, c.freqs)
+    n = c.spec.n
+    return c.scale * ((np.cos(phases) * y[:, :n]).sum(axis=1)
+                      + (np.sin(phases) * y[:, n:]).sum(axis=1))
+
+
+def _golden_section_decode(c, y, iters=48):
+    """Grid winner refined by golden section on its cell, then polished by
+    three clipped Newton steps."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    win = np.argmax(y @ c.grid_table.T, axis=1)
+    step = 1.0 / len(c.grid_x)
+    lo, hi = c.grid_x[win] - step, c.grid_x[win] + step
+    cell_lo, cell_hi = lo.copy(), hi.copy()
+    p, q = hi - (hi - lo) * inv_phi, lo + (hi - lo) * inv_phi
+    fp, fq = _correlation(c, p, y), _correlation(c, q, y)
+    for _ in range(iters):
+        p_wins = fp > fq
+        hi = np.where(p_wins, q, hi)
+        lo = np.where(p_wins, lo, p)
+        p, q = hi - (hi - lo) * inv_phi, lo + (hi - lo) * inv_phi
+        fp, fq = _correlation(c, p, y), _correlation(c, q, y)
+    mid = 0.5 * (lo + hi)
+    for _ in range(3):
+        d1, d2 = c._corr_derivs(mid, y)
+        mid = np.clip(mid - np.where(d2 < 0.0, d1 / d2, 0.0), cell_lo, cell_hi)
+    return np.mod(mid, 1.0) - 0.5
+
+
+@pytest.mark.parametrize("a,n", [(2, 2), (3, 3), (4, 2)])
+@pytest.mark.parametrize("snr_db", [-10, 0, 10, 40])
+def test_spherical_newton_refine_matches_golden_section(a, n, snr_db):
+    c = make("spherical", n=n, a=a)
+    rng = np.random.default_rng(1000 * a + n + snr_db)
+    x = rng.uniform(-0.5, 0.5, 2000)
+    # The code has unit power, 1/(2n) per dimension.
+    sigma = channel.sigma_from_snr_db(snr_db) / math.sqrt(2 * n)
+    y = c.encode(x) + sigma * rng.standard_normal((x.size, 2 * n))
+    out = c.decode(y)
+    ref = _golden_section_decode(c, y)
+    diff = np.abs(out - ref)
+    assert np.max(np.minimum(diff, 1.0 - diff)) <= 1e-15
+    assert np.all(_correlation(c, out + 0.5, y) >= _correlation(c, ref + 0.5, y) - 1e-14)
 
 
 def test_spherical_decode_range():
