@@ -60,6 +60,8 @@ def batch_rng(master_seed: int, point_index: int, batch_index: int) -> np.random
 
 
 def derived_rng(master_seed: int, *labels: int) -> np.random.Generator:
-    """Named auxiliary stream (normalization sampling, diagnostics)."""
+    """Named auxiliary stream keyed by (master_seed, *labels): the constellation
+    draws of box-counting dimension checks and the source draws of stretch
+    profiles.  Normalization keeps its own fixed generator."""
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(labels))
     return np.random.default_rng(seq)

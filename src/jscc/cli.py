@@ -438,31 +438,6 @@ def write_boxcount_csv(path: str, est) -> None:
                                             zip(est.epsilons, est.counts)])
 
 
-def read_curve_csv(path: str):
-    """Parse an emitted curve CSV back into (label, [SdrPoint]) pairs."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ConfigError(f"{path}: missing curve CSV header")
-    out = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 8:
-            raise ConfigError(f"{path}: malformed row {ln!r}")
-        label = parts[0]
-        point = harness.SdrPoint(
-            snr_db=float(parts[1]),
-            sigma=float(parts[2]),
-            trials=int(parts[3]),
-            distortion=float(parts[4]),
-            std_err=float(parts[5]),
-            sdr_db=float(parts[6]),
-            capped=parts[7] == "1",
-        )
-        out.append((label, point))
-    return out
-
-
 def _overlay_points(job: OverlayJob, curves_by_label, all_points, src_var):
     snrs = [p.snr_db for pts in all_points.values() for p in pts]
     snr_lo = max(min(snrs), _OVERLAY_SNR_FLOOR)

@@ -9,6 +9,10 @@ scaled under the digital layer on every dimension.
 
 All weights are multiples of 2**-k, hence every subset sum is exact in float64
 and equal table values can be deduplicated reliably.
+
+Digits travel as the truncation integer of numrep (source bit 0 most
+significant): encoders read the digital slots and the residual streams out of
+it, decoders OR table patterns and stream decisions back into it.
 """
 
 import math
@@ -16,7 +20,7 @@ import math
 import numpy as np
 
 from .base import Codec, CodecSpec
-from .layered import build_streams, greedy_stream_decode, stream_matrix
+from .layered import build_streams, fold_digits, greedy_stream_decode
 from .. import numrep
 
 
@@ -36,8 +40,7 @@ class PatternTable:
     def __init__(self, weights: np.ndarray):
         self.m = len(weights)
         pats = np.arange(1 << self.m, dtype=np.int64)
-        bitmat = (pats[:, None] >> np.arange(self.m - 1, -1, -1)) & 1
-        vals = bitmat.astype(np.float64) @ weights
+        vals = fold_digits(pats, self.m, range(self.m), weights)
         order = np.lexsort((pats, vals))
         sv, sp = vals[order], pats[order]
         keep = np.ones(len(sv), dtype=bool)
@@ -60,21 +63,24 @@ class PatternTable:
         return self.values[sel], self.patterns[sel]
 
 
-def digital_matrix(w: np.ndarray, n: int, rows: int, last_dim_bits: int) -> np.ndarray:
-    """(rows, n) digital-layer weights: bit i of dimension j is source bit
-    (i-1)*n + j, with len(w) bits per dimension but last_dim_bits on the last."""
-    matrix = np.zeros((rows, n))
+def digital_layer(u: np.ndarray, p: int, w: np.ndarray, n: int,
+                  last_dim_bits: int) -> np.ndarray:
+    """(rows, n) digital-layer values of the p-digit integers u: bit i of
+    dimension j is source bit (i-1)*n + j, with len(w) bits per dimension but
+    last_dim_bits on the last."""
+    cols = []
     for j in range(n):
         depth = last_dim_bits if j == n - 1 else len(w)
-        matrix[np.arange(depth) * n + j, j] = w[:depth]
-    return matrix
+        cols.append(fold_digits(u, p, np.arange(depth) * n + j, w[:depth]))
+    return np.stack(cols, axis=1)
 
 
-def scatter_pattern(bits: np.ndarray, pattern: np.ndarray, depth: int,
-                    n: int, dim: int) -> None:
-    """Write depth-bit pattern ints, weight index 1 first, into bits[:, (i-1)*n + dim]."""
-    shifts = np.arange(depth - 1, -1, -1, dtype=np.int64)
-    bits[:, np.arange(depth) * n + dim] = (pattern[:, None] >> shifts) & 1
+def spread_pattern(u: np.ndarray, pattern: np.ndarray, depth: int, n: int,
+                   dim: int, p: int) -> None:
+    """OR depth-bit pattern ints, weight index 1 first, into source bits
+    (i-1)*n + dim of the p-digit integers u."""
+    for i in range(depth):
+        u |= ((pattern >> (depth - 1 - i)) & 1) << (p - 1 - (i * n + dim))
 
 
 class Type1Codec(Codec):
@@ -92,15 +98,13 @@ class Type1Codec(Codec):
         self.m = n * k - 1
         self.w = protection_weights(k)
         self.seg = math.ldexp(1.0, -(k + 1))
-        self.weight_matrix = digital_matrix(self.w, n, self.m, k - 1)
         self.full_table = PatternTable(self.w)
         self.analog_table = PatternTable(self.w[: k - 1])
 
     def encode(self, x):
         x = np.asarray(x, dtype=np.float64)
         d = numrep.unit_fraction_ints(x, self.m)
-        bits = numrep.bits_from_ints(d, self.m)
-        s = bits.astype(np.float64) @ self.weight_matrix
+        s = digital_layer(d, self.m, self.w, self.spec.n, self.spec.k - 1)
         # Exact residual: q is representable, x - q cancels without rounding.
         q = np.ldexp(d.astype(np.float64), -self.m) - 0.5
         frac = np.ldexp(x - q, self.m)
@@ -110,15 +114,14 @@ class Type1Codec(Codec):
     def decode(self, y, sigma=0.0):
         y = np.asarray(y, dtype=np.float64) + 1.0
         n, k = self.spec.n, self.spec.k
-        bits = np.zeros((y.shape[0], self.m), dtype=np.uint8)
+        d = np.zeros(y.shape[0], dtype=np.int64)
         for j in range(n - 1):
             _, pat = self.full_table.nearest(y[:, j])
-            scatter_pattern(bits, pat, k, n, j)
-        frac = self._decode_analog_dim(y[:, n - 1], bits)
-        d = numrep.ints_from_bits(bits)
+            spread_pattern(d, pat, k, n, j, self.m)
+        frac = self._decode_analog_dim(y[:, n - 1], d)
         return (np.ldexp(d.astype(np.float64), -self.m) - 0.5) + frac * math.ldexp(1.0, -self.m)
 
-    def _decode_analog_dim(self, y, bits):
+    def _decode_analog_dim(self, y, d):
         """Nearest point on the union of analog segments [v, v + seg)."""
         n, k = self.spec.n, self.spec.k
         vals, pats = self.analog_table.values, self.analog_table.patterns
@@ -132,7 +135,7 @@ class Type1Codec(Codec):
         pick_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (pats[hi] < pats[lo]))
         pat = np.where(pick_hi, pats[hi], pats[lo])
         frac = np.where(pick_hi, t_hi, t_lo)
-        scatter_pattern(bits, pat, k - 1, n, n - 1)
+        spread_pattern(d, pat, k - 1, n, n - 1, self.m)
         return frac
 
 
@@ -145,9 +148,7 @@ class Type2Codec(Codec):
         self.m = n * k
         self.w = protection_weights(k)
         self.seg = math.ldexp(1.0, -(k + 1))
-        self.digital_matrix = digital_matrix(self.w, n, self.m, k)
         self.streams = build_streams(n, p - self.m, spec.grouping_variant)
-        self.residual_matrix = stream_matrix(self.streams, p - self.m)
         self.table = PatternTable(self.w)
         # Decoding against segment midpoints makes the digital decision match
         # the joint nearest point: all segments of a dimension share one span.
@@ -155,23 +156,21 @@ class Type2Codec(Codec):
                         for s in self.streams]
 
     def encode(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        p = self.spec.p
-        bits = numrep.bits_from_ints(numrep.unit_fraction_ints(x, p), p).astype(np.float64)
-        digital = bits[:, : self.m] @ self.digital_matrix
-        residual = bits[:, self.m:] @ self.residual_matrix
+        n, k, p = self.spec.n, self.spec.k, self.spec.p
+        u = numrep.unit_fraction_ints(np.asarray(x, dtype=np.float64), p)
+        digital = digital_layer(u, p, self.w, n, k)
+        # Residual source bit b is bit m + b of u, the b-th of its last p - m digits.
+        residual = np.stack([fold_digits(u, p - self.m, s.data_bits, s.data_weights)
+                             for s in self.streams], axis=1)
         return digital + self.seg * residual
 
     def decode(self, y, sigma=0.0):
-        return numrep.values_from_bit_rows(self.decode_bits(y), midpoint_fill=True)
-
-    def decode_bits(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
-        n, k = self.spec.n, self.spec.k
-        bits = np.zeros((y.shape[0], self.spec.p), dtype=np.uint8)
+        n, k, p = self.spec.n, self.spec.k, self.spec.p
+        u = np.zeros(y.shape[0], dtype=np.int64)
         for j in range(n):
             v, pat = self.table.nearest(y[:, j], self.centers[j])
-            scatter_pattern(bits, pat, k, n, j)
+            spread_pattern(u, pat, k, n, j, p)
             r = (y[:, j] - v) / self.seg
-            greedy_stream_decode(r, self.streams[j], bits, bit_offset=self.m)
-        return bits
+            greedy_stream_decode(r, self.streams[j], u, p - self.m)
+        return numrep.cell_midpoints(u, p)

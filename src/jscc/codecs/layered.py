@@ -16,6 +16,11 @@ any digit of the groups above it.
 Group sizes grow linearly.  The standard rule gives group l exactly l bits.
 The shifted rule gives group l = kn + i exactly i + k(n-1) bits, which trades
 a slightly different protection profile at the same asymptotic cost.
+
+The digit format shared by every digit-stream code is the truncation integer
+u of numrep.unit_fraction_ints: p digits, source bit 0 the most significant.
+Encoders read slots out of u by shifts; decoders OR their digit decisions
+back into u and reconstruct the cell midpoint from it.
 """
 
 import numpy as np
@@ -63,17 +68,32 @@ def build_streams(n: int, p: int, variant: str = "standard") -> list[DigitStream
     return [DigitStream(s) for s in slots]
 
 
-def stream_matrix(streams: list[DigitStream], p: int) -> np.ndarray:
-    """(p, n) weight of each source bit on each stream's dimension."""
-    matrix = np.zeros((p, len(streams)))
-    for dim, stream in enumerate(streams):
-        matrix[stream.data_bits, dim] = stream.data_weights
-    return matrix
+def fold_digits(u: np.ndarray, p: int, bits, weights) -> np.ndarray:
+    """Left fold from 0.0, in slot order, of weights[i] * (source bit bits[i] of u).
+
+    Source bit b is binary digit p-1-b of u: bit 0 is the most significant of
+    u's last p digits.  The fixed order makes the rounding of non-dyadic
+    weights (scheme1 with alpha not a power of two) the same on every
+    machine; dyadic weights sum exactly in any order.
+    """
+    out = np.zeros(np.shape(u))
+    # Reused buffers: at normalization's 65 536-row chunks, fresh temporaries
+    # for every slot cost about three times the arithmetic itself.
+    digit = np.empty_like(u)
+    term = np.empty_like(out)
+    for bit, w in zip(bits, weights):
+        np.right_shift(u, p - 1 - int(bit), out=digit)
+        np.bitwise_and(digit, 1, out=digit)
+        np.multiply(digit, w, out=term)
+        out += term
+    return out
 
 
-def greedy_stream_decode(r: np.ndarray, stream: DigitStream,
-                         bits_out: np.ndarray, bit_offset: int = 0) -> None:
-    """Exact nearest digit string of one stream, written into bits_out.
+def greedy_stream_decode(r: np.ndarray, stream: DigitStream, u: np.ndarray, p: int) -> None:
+    """Exact nearest digit string of one stream, ORed into u.
+
+    Source bit b of the stream lands on binary digit p-1-b of u, as in
+    fold_digits.
 
     At each data digit, most significant first, the residual is compared
     against the midpoint between the largest all-later-digits value (digit 0)
@@ -86,7 +106,7 @@ def greedy_stream_decode(r: np.ndarray, stream: DigitStream,
         # Strict comparison: midpoint ties resolve to the digit-0 subtree,
         # matching the smallest-source-value convention of the other decoders.
         take = r > stream.thresholds[d]
-        bits_out[:, bit_offset + stream.data_bits[d]] = take
+        u |= take << (p - 1 - int(stream.data_bits[d]))
         r -= np.where(take, stream.data_weights[d], 0.0)
 
 
@@ -96,22 +116,20 @@ class StreamCodec(Codec):
     def __init__(self, spec: CodecSpec, streams: list[DigitStream]):
         super().__init__(spec)
         self.streams = streams
-        self.weight_matrix = stream_matrix(streams, spec.p)
 
     def encode(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        bits = numrep.bits_from_ints(numrep.unit_fraction_ints(x, self.spec.p), self.spec.p)
-        return bits.astype(np.float64) @ self.weight_matrix
-
-    def decode_bits(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=np.float64)
-        bits = np.zeros((y.shape[0], self.spec.p), dtype=np.uint8)
-        for dim, stream in enumerate(self.streams):
-            greedy_stream_decode(y[:, dim], stream, bits)
-        return bits
+        p = self.spec.p
+        u = numrep.unit_fraction_ints(np.asarray(x, dtype=np.float64), p)
+        return np.stack([fold_digits(u, p, s.data_bits, s.data_weights)
+                         for s in self.streams], axis=1)
 
     def decode(self, y, sigma=0.0):
-        return numrep.values_from_bit_rows(self.decode_bits(y), midpoint_fill=True)
+        y = np.asarray(y, dtype=np.float64)
+        p = self.spec.p
+        u = np.zeros(y.shape[0], dtype=np.int64)
+        for dim, stream in enumerate(self.streams):
+            greedy_stream_decode(y[:, dim], stream, u, p)
+        return numrep.cell_midpoints(u, p)
 
 
 class Scheme2Codec(StreamCodec):

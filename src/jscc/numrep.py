@@ -7,35 +7,19 @@ sense, not merely close: several decoders reconstruct a sample by re-adding a
 fractional tail to the represented prefix, and an off-by-one-ulp digit string
 breaks those round trips.
 
-All helpers below therefore work on exact dyadic integers.  The depth cap of 52
-keeps every intermediate quantity exactly representable in a float64:
-u * 2**-p and u * 2**-p - 1/2 are exact for 0 <= u < 2**p when p <= 52.
+The one digit format is the truncation integer u = floor((x + 1/2) * 2**p):
+its p binary digits, most significant first, are source bits 0..p-1.  The
+depth cap of 52 keeps every intermediate quantity exactly representable in a
+float64: u * 2**-p and u * 2**-p - 1/2 are exact for 0 <= u < 2**p when
+p <= 52.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_PRECISION = 48
 MAX_PRECISION = 52
-
-SOURCE_KINDS = ("uniform", "gaussian")
-
-
-@dataclass(frozen=True)
-class FixedPointSample:
-    """Truncated binary expansion of x + 1/2.
-
-    bits[0] is the most significant digit (weight 2**-1).  The represented
-    value v = sum(bits[i] * 2**-(i+1)) - 1/2 satisfies 0 <= x - v < 2**-p.
-    """
-
-    bits: tuple[int, ...]
-
-    @property
-    def precision(self) -> int:
-        return len(self.bits)
 
 
 def _check_unit_range(x) -> None:
@@ -68,78 +52,18 @@ def unit_fraction_ints(x: np.ndarray, p: int = DEFAULT_PRECISION) -> np.ndarray:
     return u
 
 
-def bits_from_ints(u: np.ndarray, p: int) -> np.ndarray:
-    """Unpack truncation integers into an (n, p) array of digits, MSB first."""
-    u = np.asarray(u, dtype=np.int64)
-    shifts = np.arange(p - 1, -1, -1, dtype=np.int64)
-    return ((u[..., None] >> shifts) & 1).astype(np.uint8)
-
-
-def ints_from_bits(bits: np.ndarray) -> np.ndarray:
-    bits = np.asarray(bits)
-    p = bits.shape[-1]
-    weights = (1 << np.arange(p - 1, -1, -1, dtype=np.int64))
-    return bits.astype(np.int64) @ weights
-
-
-def to_bits(x: float, p: int = DEFAULT_PRECISION) -> FixedPointSample:
-    """First p binary digits of x + 1/2, truncated."""
-    u = unit_fraction_ints(np.asarray([x]), p)[0]
-    return FixedPointSample(bits=tuple(int(b) for b in bits_from_ints(np.asarray([u]), p)[0]))
-
-
-def from_bits(sample: FixedPointSample, midpoint_fill: bool = False) -> float:
-    """Value represented by a digit string, shifted back to [-1/2, 1/2).
-
-    With midpoint_fill the reconstruction sits at the center of the truncation
-    cell (adds 2**-(p+1)), which halves the worst-case truncation error.
-    """
-    p = sample.precision
-    _check_precision(p)
-    if any(b not in (0, 1) for b in sample.bits):
-        raise ValueError("digits must be 0 or 1")
-    t = 0
-    for b in sample.bits:
-        t = (t << 1) | b
-    if midpoint_fill:
-        return math.ldexp(2 * t + 1, -(p + 1)) - 0.5
-    return math.ldexp(t, -p) - 0.5
-
-
-def values_from_bit_rows(bits: np.ndarray, midpoint_fill: bool = True) -> np.ndarray:
-    """Vectorized from_bits over an (n, p) digit array."""
-    p = bits.shape[-1]
-    t = ints_from_bits(bits)
-    if midpoint_fill:
-        return np.ldexp((2 * t + 1).astype(np.float64), -(p + 1)) - 0.5
-    return np.ldexp(t.astype(np.float64), -p) - 0.5
-
-
-@dataclass(frozen=True)
-class SplitSample:
-    integer_part: int
-    fractional_part: float
-
-
-def split_integer(x: float) -> SplitSample:
-    """Split x into x1 + x2 with x1 integer and x2 in [-1/2, 1/2).
-
-    Reconstruction x1 + x2 == x is exact in float64.
-    """
-    if not math.isfinite(x):
-        raise ValueError("sample must be finite")
-    if -0.5 <= x < 0.5:
-        # x - floor(x) is not exact for tiny |x|, so keep in-range samples as is.
-        return SplitSample(integer_part=0, fractional_part=x)
-    x1 = math.floor(x)
-    x2 = x - x1
-    if x2 >= 0.5:
-        x1 += 1
-        x2 -= 1.0
-    return SplitSample(integer_part=x1, fractional_part=x2)
+def cell_midpoints(u: np.ndarray, p: int) -> np.ndarray:
+    """Center of each truncation cell, u * 2**-p + 2**-(p+1), shifted back to
+    [-1/2, 1/2).  Reconstructing at the center halves the worst-case error."""
+    return np.ldexp((2 * u + 1).astype(np.float64), -(p + 1)) - 0.5
 
 
 def split_integer_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split x into x1 + x2 with x1 integer and x2 in [-1/2, 1/2).
+
+    Reconstruction x1 + x2 == x is exact in float64.  In-range samples keep
+    x1 = 0 and x2 = x, since x - floor(x) is not exact for tiny |x|.
+    """
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("samples must be finite")

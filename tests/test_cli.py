@@ -148,6 +148,30 @@ def test_codec_from_dict_inner_and_b():
 # csv round trip
 
 
+def read_curve_csv(path: str):
+    """Parse an emitted curve CSV back into (label, [SdrPoint]) pairs."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln for ln in fh.read().split("\n") if ln]
+    if not lines or lines[0] != cli.CSV_HEADER:
+        raise ConfigError(f"{path}: missing curve CSV header")
+    out = []
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != 8:
+            raise ConfigError(f"{path}: malformed row {ln!r}")
+        point = SdrPoint(
+            snr_db=float(parts[1]),
+            sigma=float(parts[2]),
+            trials=int(parts[3]),
+            distortion=float(parts[4]),
+            std_err=float(parts[5]),
+            sdr_db=float(parts[6]),
+            capped=parts[7] == "1",
+        )
+        out.append((parts[0], point))
+    return out
+
+
 def test_csv_round_trip_bit_exact(tmp_path):
     points = [
         SdrPoint(snr_db=17.5, sigma=10.0 ** (-17.5 / 20.0), trials=12288,
@@ -162,7 +186,7 @@ def test_csv_round_trip_bit_exact(tmp_path):
     cli.write_curve_csv(str(path), "probe", points)
     text = path.read_text()
     assert text.splitlines()[0] == cli.CSV_HEADER
-    parsed = cli.read_curve_csv(str(path))
+    parsed = read_curve_csv(str(path))
     assert [lbl for lbl, _ in parsed] == ["probe", "probe"]
     assert [p for _, p in parsed] == points
 
@@ -171,14 +195,14 @@ def test_csv_empty_curve(tmp_path):
     path = tmp_path / "empty.csv"
     cli.write_curve_csv(str(path), "none", [])
     assert path.read_text() == cli.CSV_HEADER + "\n"
-    assert cli.read_curve_csv(str(path)) == []
+    assert read_curve_csv(str(path)) == []
 
 
 def test_csv_reader_rejects_garbage(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("nope\n")
     with pytest.raises(ConfigError):
-        cli.read_curve_csv(str(path))
+        read_curve_csv(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +220,7 @@ def test_simulate_end_to_end(tmp_path, capsys):
     assert "slope[10..25 dB]" in text
     csv_path = out / "rep.csv"
     assert csv_path.exists()
-    rows = cli.read_curve_csv(str(csv_path))
+    rows = read_curve_csv(str(csv_path))
     assert len(rows) == 4
     assert all(lbl == "rep" for lbl, _ in rows)
     svg = (out / "tiny.svg").read_text()
@@ -234,7 +258,7 @@ def test_simulate_computes_no_batch_it_does_not_use(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
                      "--workers", "2"]) == 0
-    used = sum(p.trials for _, p in cli.read_curve_csv(str(out / "rep.csv")))
+    used = sum(p.trials for _, p in read_curve_csv(str(out / "rep.csv")))
     assert len(calls) == used // harness.BATCH_SIZE
 
 

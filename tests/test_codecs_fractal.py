@@ -4,10 +4,21 @@ import numpy as np
 import pytest
 
 from jscc.codecs import CodecSpec, build_codec
+from jscc.numrep import unit_fraction_ints
 
 
 def make(alpha, n, p=48):
     return build_codec(CodecSpec("scheme1", n=n, alpha=alpha, p=p))
+
+
+def digits(u, p):
+    """(rows, p) digits of truncation integers, source bit 0 first."""
+    return ((np.asarray(u)[:, None] >> np.arange(p - 1, -1, -1)) & 1).astype(np.uint8)
+
+
+def decoded_digits(c, y):
+    """Digits of the decoded cell; exact since decode returns cell midpoints."""
+    return digits(unit_fraction_ints(c.decode(y), c.spec.p), c.spec.p)
 
 
 def exhaustive_patterns(depth, alpha):
@@ -47,7 +58,7 @@ def test_greedy_equals_exhaustive_nearest(alpha, n):
     y[:8000] += 0.08 * rng.standard_normal((8000, n))
     y[8000:] = rng.uniform(-0.2, 1.2, (2000, n))
 
-    greedy = c.decode_bits(y)
+    greedy = decoded_digits(c, y)
     bitmat, values = exhaustive_patterns(depth, alpha)
     for dim, stream in enumerate(c.streams):
         want = np.empty((y.shape[0], depth), dtype=np.uint8)
@@ -69,9 +80,8 @@ def test_separation_bound(alpha, n):
         xa = rng.uniform(-0.5, 0.5, 10 ** 5)
         xb = rng.uniform(-0.5, 0.5, 10 ** 5)
         sa, sb = c.encode(xa), c.encode(xb)
-        import jscc.numrep as numrep
-        ba = numrep.bits_from_ints(numrep.unit_fraction_ints(xa, c.spec.p), c.spec.p)
-        bb = numrep.bits_from_ints(numrep.unit_fraction_ints(xb, c.spec.p), c.spec.p)
+        ba = digits(unit_fraction_ints(xa, c.spec.p), c.spec.p)
+        bb = digits(unit_fraction_ints(xb, c.spec.p), c.spec.p)
         for dim, stream in enumerate(c.streams):
             diff = ba[:, stream.data_bits] != bb[:, stream.data_bits]
             has = diff.any(axis=1)
@@ -90,12 +100,11 @@ def test_prefix_correct_under_bounded_noise():
     rng = np.random.default_rng(55)
     x = rng.uniform(-0.5, 0.5, 10 ** 4)
     s = c.encode(x)
-    import jscc.numrep as numrep
-    true_bits = numrep.bits_from_ints(numrep.unit_fraction_ints(x, 24), 24)
+    true_bits = digits(unit_fraction_ints(x, 24), 24)
 
     margin = 0.95 * (alpha - 2.0) * alpha ** -(depth_checked + 1.0) / 2.0
     noise = margin * np.where(rng.random((x.size, n)) < 0.5, -1.0, 1.0)
-    got = c.decode_bits(s + noise)
+    got = decoded_digits(c, s + noise)
     for dim, stream in enumerate(c.streams):
         keep = stream.data_bits[:depth_checked]
         np.testing.assert_array_equal(got[:, keep], true_bits[:, keep])

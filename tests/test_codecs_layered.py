@@ -7,10 +7,21 @@ import pytest
 
 from jscc.codecs import CodecSpec, build_codec
 from jscc.codecs.layered import build_streams, group_size
+from jscc.numrep import unit_fraction_ints
 
 
 def make(n, variant="standard", p=48):
     return build_codec(CodecSpec("scheme2", n=n, p=p, grouping_variant=variant))
+
+
+def digits(u, p):
+    """(rows, p) digits of truncation integers, source bit 0 first."""
+    return ((np.asarray(u)[:, None] >> np.arange(p - 1, -1, -1)) & 1).astype(np.uint8)
+
+
+def decoded_digits(c, y):
+    """Digits of the decoded cell; exact since decode returns cell midpoints."""
+    return digits(unit_fraction_ints(c.decode(y), c.spec.p), c.spec.p)
 
 
 def test_layout_example_two_dims():
@@ -78,7 +89,7 @@ def test_greedy_equals_exhaustive_nearest(n, p):
     y[:8000] += 0.07 * rng.standard_normal((8000, n))
     y[8000:] = rng.uniform(-0.2, 1.2, (2000, n))
 
-    greedy = c.decode_bits(y)
+    greedy = decoded_digits(c, y)
     for dim, stream in enumerate(c.streams):
         depth = len(stream.data_weights)
         pats = np.arange(1 << depth, dtype=np.int64)
@@ -105,10 +116,9 @@ def test_separator_gap_protects_leading_bit():
     rng = np.random.default_rng(71)
     x = rng.uniform(-0.5, 0.5, 10 ** 4)
     s = c.encode(x)
-    import jscc.numrep as numrep
-    true_bits = numrep.bits_from_ints(numrep.unit_fraction_ints(x, 15), 15)
+    true_bits = digits(unit_fraction_ints(x, 15), 15)
     stream = c.streams[0]
     margin = stream.data_weights[0] - stream.thresholds[0]
     noise = 0.9 * margin * np.where(rng.random((x.size, 2)) < 0.5, -1, 1)
-    got = c.decode_bits(s + noise)
+    got = decoded_digits(c, s + noise)
     np.testing.assert_array_equal(got[:, 0], true_bits[:, 0])

@@ -1,23 +1,18 @@
 """Digit expansion and integer-split checks, with exact rational oracles."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jscc import numrep
 from jscc.numrep import (
-    FixedPointSample,
-    bits_from_ints,
+    cell_midpoints,
     draw_source,
-    from_bits,
-    split_integer,
     split_integer_array,
-    to_bits,
     unit_fraction_ints,
-    values_from_bit_rows,
 )
 
 unit_floats = st.floats(min_value=-0.5, max_value=0.5, exclude_max=True,
@@ -28,6 +23,66 @@ def exact_truncation(x: float, p: int) -> int:
     """Independent truncation oracle in exact rational arithmetic."""
     v = Fraction(x) + Fraction(1, 2)
     return (v.numerator * 2 ** p) // v.denominator
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracles: one digit tuple per sample, one Python int per split.
+
+
+@dataclass(frozen=True)
+class FixedPointSample:
+    """Truncated binary expansion of x + 1/2.
+
+    bits[0] is the most significant digit (weight 2**-1).  The represented
+    value v = sum(bits[i] * 2**-(i+1)) - 1/2 satisfies 0 <= x - v < 2**-p.
+    """
+
+    bits: tuple[int, ...]
+
+    @property
+    def precision(self) -> int:
+        return len(self.bits)
+
+
+def to_bits(x: float, p: int = 48) -> FixedPointSample:
+    """First p binary digits of x + 1/2, truncated."""
+    u = int(unit_fraction_ints(np.asarray([x]), p)[0])
+    return FixedPointSample(bits=tuple((u >> (p - 1 - i)) & 1 for i in range(p)))
+
+
+def from_bits(sample: FixedPointSample, midpoint_fill: bool = False) -> float:
+    """Value represented by a digit string, shifted back to [-1/2, 1/2).
+
+    With midpoint_fill the reconstruction sits at the center of the truncation
+    cell (adds 2**-(p+1)), which halves the worst-case truncation error.
+    """
+    p = sample.precision
+    assert all(b in (0, 1) for b in sample.bits)
+    t = 0
+    for b in sample.bits:
+        t = (t << 1) | b
+    if midpoint_fill:
+        return math.ldexp(2 * t + 1, -(p + 1)) - 0.5
+    return math.ldexp(t, -p) - 0.5
+
+
+@dataclass(frozen=True)
+class SplitSample:
+    integer_part: int
+    fractional_part: float
+
+
+def split_integer(x: float) -> SplitSample:
+    """Split x into x1 + x2 with x1 integer and x2 in [-1/2, 1/2)."""
+    if -0.5 <= x < 0.5:
+        # x - floor(x) is not exact for tiny |x|, so keep in-range samples as is.
+        return SplitSample(integer_part=0, fractional_part=x)
+    x1 = math.floor(x)
+    x2 = x - x1
+    if x2 >= 0.5:
+        x1 += 1
+        x2 -= 1.0
+    return SplitSample(integer_part=x1, fractional_part=x2)
 
 
 def test_bits_of_known_sample():
@@ -75,9 +130,9 @@ def test_boundary_floats_near_half():
 def test_prefix_consistency():
     rng = np.random.default_rng(7)
     xs = rng.random(200) - 0.5
-    long = bits_from_ints(unit_fraction_ints(xs, 48), 48)
-    short = bits_from_ints(unit_fraction_ints(xs, 20), 20)
-    assert np.array_equal(long[:, :20], short)
+    long = unit_fraction_ints(xs, 48)
+    short = unit_fraction_ints(xs, 20)
+    assert np.array_equal(long >> 28, short)
 
 
 def test_truncation_is_monotone():
@@ -104,14 +159,12 @@ def test_from_bits_all_zero_midpoint():
     assert from_bits(sample) == -0.5
 
 
-def test_values_from_bit_rows_matches_scalar():
+def test_cell_midpoints_match_scalar():
     rng = np.random.default_rng(3)
     xs = rng.random(100) - 0.5
-    bits = bits_from_ints(unit_fraction_ints(xs, 48), 48)
-    vec = values_from_bit_rows(bits, midpoint_fill=True)
-    for row, v in zip(bits, vec):
-        assert v == from_bits(FixedPointSample(bits=tuple(int(b) for b in row)),
-                              midpoint_fill=True)
+    vec = cell_midpoints(unit_fraction_ints(xs, 48), 48)
+    for x, v in zip(xs, vec):
+        assert v == from_bits(to_bits(float(x), 48), midpoint_fill=True)
 
 
 def test_split_integer_example():
