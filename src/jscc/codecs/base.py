@@ -202,6 +202,16 @@ class NormalizationRecord:
     samples: int
 
 
+def _column_sums(s: np.ndarray) -> np.ndarray:
+    """s.sum(axis=0), bit for bit, for a C-contiguous (rows, dims) array.
+
+    Over axis 0 numpy adds such an array row by row when dims > 1, the order
+    cumsum takes too, and cumsum is faster.  A single column is contiguous
+    along axis 0, where sum is pairwise, so it keeps sum.
+    """
+    return np.cumsum(s, axis=0)[-1] if s.shape[1] > 1 else s.sum(axis=0)
+
+
 def measure_normalization(codec: Codec, sample_count: int = NORMALIZATION_MIN_SAMPLES,
                           rng: np.random.Generator | None = None) -> NormalizationRecord:
     if sample_count < NORMALIZATION_MIN_SAMPLES:
@@ -216,8 +226,8 @@ def measure_normalization(codec: Codec, sample_count: int = NORMALIZATION_MIN_SA
         m = min(chunk, sample_count - done)
         x = numrep.draw_source(codec.spec.source_kind, rng, m)
         s = codec.encode(x)
-        dim_sum += s.sum(axis=0)
-        dim_sq += (s * s).sum(axis=0)
+        dim_sum += _column_sums(s)
+        dim_sq += _column_sums(s * s)
         done += m
     mean = dim_sum / done
     var = dim_sq / done - mean * mean

@@ -13,6 +13,6 @@ from .layered import DigitStream, StreamCodec
 
 class Scheme1Codec(StreamCodec):
     def __init__(self, spec: CodecSpec):
-        streams = [DigitStream(range(dim, spec.p, spec.n), base=spec.alpha)
+        streams = [DigitStream(range(dim, spec.p, spec.n), spec.p, base=spec.alpha)
                    for dim in range(spec.n)]
         super().__init__(spec, streams)

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .base import Codec, CodecSpec
-from .layered import build_streams, fold_digits, greedy_stream_decode
+from .layered import build_streams, decode_stream, fold_digits
 from .. import numrep
 
 
@@ -172,5 +172,5 @@ class Type2Codec(Codec):
             v, pat = self.table.nearest(y[:, j], self.centers[j])
             spread_pattern(u, pat, k, n, j, p)
             r = (y[:, j] - v) / self.seg
-            greedy_stream_decode(r, self.streams[j], u, p - self.m)
+            decode_stream(r, self.streams[j], u)
         return numrep.cell_midpoints(u, p)

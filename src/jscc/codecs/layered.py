@@ -2,10 +2,14 @@
 
 A digit-stream code deals the source's binary digits onto one stream per
 channel dimension.  Slot i of a stream weighs base**-i and holds a source bit
-or a forced 0 separator; each stream is decoded greedily by subtree midpoints.
-The fractal code (scheme1, fractal.py) uses base-alpha streams with no
-separators.  The layered code here (scheme2) uses base-2 streams with
-separators: they, not a widened base, create the decoding gaps.
+or a forced 0 separator.  Each stream is decoded by the greedy rule at subtree
+midpoints, evaluated a chunk of about six digits at a time: a bucketed table
+of breakpoints gives the chunk's digits in one lookup, a rounding margin
+decides which rows the lookup provably settles, and the sequential greedy
+decodes the rest (decode_stream).  The fractal code (scheme1, fractal.py)
+uses base-alpha streams with no separators.  The layered code here (scheme2)
+uses base-2 streams with separators: they, not a widened base, create the
+decoding gaps.
 
 Source bits are split into consecutive groups.  Group l goes to dimension
 ((l-1) mod n) + 1; within its dimension the group occupies the next size(l)
@@ -23,10 +27,24 @@ Encoders read slots out of u by shifts; decoders OR their digit decisions
 back into u and reconstruct the cell midpoint from it.
 """
 
+import functools
+import math
+
 import numpy as np
 
 from .base import Codec, CodecSpec
 from .. import numrep
+
+
+# A decision table covers at most CHUNK_DIGITS digits (2**6 leaves), and
+# fewer where its first weight would exceed TABLE_SPAN times a lower bound on
+# the spacing of its cuts, which bounds its bucket count.
+CHUNK_DIGITS = 6
+TABLE_SPAN = 1024.0
+# A digit is tabulated while its subtree gap is at least this many margins of
+# a row inside the constellation, so rows near a cut are rare.
+GAP_MARGINS = 4096.0
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
 
 
 def group_size(index: int, n: int, variant: str) -> int:
@@ -37,18 +55,117 @@ def group_size(index: int, n: int, variant: str) -> int:
 
 
 class DigitStream:
-    """Slots of one dimension, slot i weighing base**-i: source bit or -1 = separator."""
+    """Slots of one dimension of a p-digit code, slot i weighing base**-i:
+    source bit or -1 = separator.
 
-    def __init__(self, slots, base: float = 2.0):
+    Source bit b lands on binary digit p-1-b of the truncation integer, so
+    data digit d is ORed in at shifts[d].
+    """
+
+    def __init__(self, slots, p: int, base: float = 2.0):
         self.slots = np.asarray(slots, dtype=np.int64)
         all_weights = base ** -np.arange(1, len(self.slots) + 1, dtype=np.float64)
         data = self.slots >= 0
         self.data_weights = all_weights[data]
         self.data_bits = self.slots[data]
+        self.shifts = p - 1 - self.data_bits
         # Largest value the remaining data digits can still add after each one.
-        tails = np.concatenate([np.cumsum(self.data_weights[::-1])[::-1][1:], [0.0]])
-        self.thresholds = 0.5 * (self.data_weights + tails)
+        self.tails = np.concatenate([np.cumsum(self.data_weights[::-1])[::-1][1:], [0.0]])
+        self.thresholds = 0.5 * (self.data_weights + self.tails)
         self.max_value = float(self.data_weights.sum())
+        self.margin_scale = (3 * len(self.data_weights) + 8) * UNIT_ROUNDOFF
+
+    @functools.cached_property
+    def chunks(self) -> list["ChunkTable"]:
+        """Decision tables of the leading digits, built on first decode.
+
+        A digit is tabulated while its subtree gap dwarfs the margin of a
+        row inside the constellation, whose |y| + max_value is at most
+        3 max_value; deeper digits stay sequential.
+        """
+        w, tails = self.data_weights, self.tails
+        gaps = w - tails
+        wide = gaps >= GAP_MARGINS * self.margin_scale * 3.0 * self.max_value
+        count = len(w) if wide.all() else int(np.argmin(wide))
+        # Neighbouring cuts of a chunk [a, d) lie at least the smallest gap
+        # plus the weight left after the chunk, tails[d-1], apart.
+        edges = [0]
+        for d in range(1, count + 1):
+            a = edges[-1]
+            if (d == count or d - a == CHUNK_DIGITS
+                    or w[a] > TABLE_SPAN * (gaps[a:d + 1].min() + tails[d])):
+                edges.append(d)
+        return [ChunkTable(self, a, b) for a, b in zip(edges, edges[1:])]
+
+
+class ChunkTable:
+    """The greedy's decisions on data digits [start, stop) of a stream, as a
+    lookup from the residual at start.
+
+    Leaf j (the chunk's digits read as a binary number, first digit most
+    significant) takes offsets[j] off the residual and ORs patterns[j] into
+    u.  Because the subtrees are ordered and never overlap, the leaf the
+    greedy reaches is the number of cuts strictly below the residual, where
+    cut j-1 separates leaves j-1 and j: the prefix value of leaf j plus the
+    threshold of the first digit where the two differ.  A uniform bucket
+    grid, width at most a quarter of the smallest gap between cuts, holds
+    for bucket b the one cut ("near") in buckets b-1..b+1, or +inf if there
+    is none, and the count of cuts below it ("base"): the leaf is base[b] +
+    (residual > near[b]), and every other cut lies at least a bucket width
+    away.
+    """
+
+    def __init__(self, stream: DigitStream, start: int, stop: int):
+        self.start, self.stop = start, stop
+        k = stop - start
+        leaves = np.arange(1 << k, dtype=np.int64)
+        self.offsets = fold_digits(leaves, k, range(k), stream.data_weights[start:stop])
+        self.patterns = np.zeros_like(leaves)
+        for i in range(k):
+            self.patterns |= ((leaves >> (k - 1 - i)) & 1) << stream.shifts[start + i]
+        # Leaves j-1 and j first differ at the lowest set bit of j, the chunk
+        # digit k - frexp exponent; above it both share the prefix leaf j - low.
+        right = leaves[1:]
+        low = right & -right
+        first = start + k - np.frexp(low.astype(np.float64))[1]
+        self.cuts = cuts = self.offsets[right - low] + stream.thresholds[first]
+        gaps = np.diff(cuts)
+        if not np.all(gaps > 0):
+            raise ValueError("stream cuts must strictly increase")
+        self.lo, self.hi = float(cuts[0]), float(cuts[-1])
+        # Power-of-two width: scaling by it is exact, so the bucket map is
+        # monotone in the residual.
+        width = math.ldexp(1.0, math.frexp(gaps.min() / 4.0)[1] - 1) if k > 1 else 1.0
+        self.scale = 1.0 / width
+        buckets = self.bucket(cuts)
+        if not np.all(np.diff(buckets) >= 3):
+            raise ValueError("bucket grid holds two cuts within one bucket of each other")
+        size = int(buckets[-1]) + 1
+        self.near = np.full(size, np.inf)
+        self.base = np.searchsorted(buckets, np.arange(size))
+        index = np.arange(len(cuts))
+        for step in (-1, 0, 1):
+            b = buckets + step
+            ok = (b >= 0) & (b < size)
+            self.near[b[ok]] = cuts[ok]
+            self.base[b[ok]] = index[ok]
+
+    def bucket(self, r: np.ndarray) -> np.ndarray:
+        pos = np.clip(r, self.lo, self.hi)
+        pos -= self.lo
+        pos *= self.scale
+        return pos.astype(np.intp)
+
+    def lookup(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Leaf of each finite residual, and its distance to the nearest cut
+        (+inf when no cut lies within a bucket width)."""
+        b = self.bucket(r)
+        dist = self.near.take(b)
+        np.subtract(r, dist, out=dist)
+        leaf = self.base.take(b)
+        leaf += dist > 0
+        np.abs(dist, out=dist)
+        return leaf, dist
 
 
 def build_streams(n: int, p: int, variant: str = "standard") -> list[DigitStream]:
@@ -65,7 +182,7 @@ def build_streams(n: int, p: int, variant: str = "standard") -> list[DigitStream
         bit += take
         if take == size:
             slots[dim].append(-1)
-    return [DigitStream(s) for s in slots]
+    return [DigitStream(s, p) for s in slots]
 
 
 def fold_digits(u: np.ndarray, p: int, bits, weights) -> np.ndarray:
@@ -89,25 +206,78 @@ def fold_digits(u: np.ndarray, p: int, bits, weights) -> np.ndarray:
     return out
 
 
-def greedy_stream_decode(r: np.ndarray, stream: DigitStream, u: np.ndarray, p: int) -> None:
-    """Exact nearest digit string of one stream, ORed into u.
-
-    Source bit b of the stream lands on binary digit p-1-b of u, as in
-    fold_digits.
+def greedy_stream_decode(r: np.ndarray, stream: DigitStream, u: np.ndarray) -> None:
+    """Exact nearest digit string of one stream, ORed into u, one digit at a time.
 
     At each data digit, most significant first, the residual is compared
     against the midpoint between the largest all-later-digits value (digit 0)
     and the smallest value with this digit set.  The two subtrees never
     overlap: a base above 2 opens a gap at every digit, and in base 2 every
     data slot is eventually followed by a separator (or the stream ends).
+    This is the reference decode_stream reproduces, and its fallback.
     """
     r = r.copy()
     for d in range(len(stream.data_weights)):
         # Strict comparison: midpoint ties resolve to the digit-0 subtree,
         # matching the smallest-source-value convention of the other decoders.
         take = r > stream.thresholds[d]
-        u |= take << (p - 1 - int(stream.data_bits[d]))
+        u |= take << stream.shifts[d]
         r -= np.where(take, stream.data_weights[d], 0.0)
+
+
+def decode_stream(y: np.ndarray, stream: DigitStream, u: np.ndarray) -> None:
+    """greedy_stream_decode's digits, bit for bit, by one table lookup per chunk.
+
+    Each chunk of about CHUNK_DIGITS tabulated digits picks its leaf from the
+    bucket of the residual, takes the leaf's offset off the residual, and ORs
+    its pattern into u.  Digits past the tables run the greedy step.  A row
+    is accepted only if, in every chunk, its residual lies more than the
+    margin M = margin_scale * (|y| + max_value) from the nearest cut, and in
+    every sequential step more than M from the threshold.  Every other row,
+    and every non-finite one, is decoded again by greedy_stream_decode.
+
+    Why an accepted row is exact.  With unit roundoff eps, B = |y| + max_value
+    bounds every residual on either path, and D is the stream's digit count.
+    The greedy's residual before any digit is off the exact real one by at
+    most D eps B (one rounding per subtraction).  The table path's residual
+    is off by at most (D + C) eps B after C chunks: each chunk subtracts one
+    offset, a left fold of at most k weights with error (k-1) eps max_value.
+    A cut is off its exact value (prefix plus threshold) by k eps max_value.
+    Every greedy decision inside a chunk compares the residual with one of
+    the chunk's cuts, and the two cuts around the row's leaf are the
+    tightest of them, because cuts increase with the leaves.  Cuts other
+    than the nearest lie at least a bucket width away, which the rule for
+    tabulating a digit keeps far above M for any residual inside [lo, hi];
+    outside it the nearest cut is an end cut.  So when the nearest cut is
+    more than M = (3D + 8) eps B away, the table's leaf, the exact real
+    greedy's and the rounded greedy's all agree; the same bound covers the
+    sequential steps.
+    """
+    r = np.where(np.isfinite(y), y, 0.0)
+    slack = np.full(r.shape, np.inf)
+    chunks = stream.chunks
+    for table in chunks:
+        leaf, dist = table.lookup(r)
+        u |= table.patterns.take(leaf)
+        r -= table.offsets.take(leaf)
+        np.minimum(slack, dist, out=slack)
+    for d in range(chunks[-1].stop if chunks else 0, len(stream.data_weights)):
+        z = r - stream.thresholds[d]
+        take = z > 0
+        u |= take << stream.shifts[d]
+        r -= np.where(take, stream.data_weights[d], 0.0)
+        np.abs(z, out=z)
+        np.minimum(slack, z, out=slack)
+    # NaN and infinite rows get a NaN or infinite limit and always fail.
+    limit = np.abs(y)
+    limit += stream.max_value
+    limit *= stream.margin_scale
+    redo = np.flatnonzero(~(slack > limit))
+    if redo.size:
+        u[redo] &= ~sum(1 << int(shift) for shift in stream.shifts)
+        part = np.zeros(redo.size, dtype=np.int64)
+        greedy_stream_decode(y[redo], stream, part)
+        u[redo] |= part
 
 
 class StreamCodec(Codec):
@@ -125,11 +295,10 @@ class StreamCodec(Codec):
 
     def decode(self, y, sigma=0.0):
         y = np.asarray(y, dtype=np.float64)
-        p = self.spec.p
         u = np.zeros(y.shape[0], dtype=np.int64)
         for dim, stream in enumerate(self.streams):
-            greedy_stream_decode(y[:, dim], stream, u, p)
-        return numrep.cell_midpoints(u, p)
+            decode_stream(y[:, dim], stream, u)
+        return numrep.cell_midpoints(u, self.spec.p)
 
 
 class Scheme2Codec(StreamCodec):

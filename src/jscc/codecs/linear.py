@@ -99,7 +99,9 @@ class ShiftMapCodec(Codec):
         # x + 1/2 can round up to 1.0 at the open end; pull it back inside.
         s[:, 0] = np.minimum(x + 0.5, np.nextafter(1.0, 0.0))
         for i, m in enumerate(self.spec.stage_multipliers()):
-            s[:, i + 1] = np.mod(m * s[:, i], 1.0)
+            # v mod 1 for v >= 0: exact, and +0.0 at integers, like np.mod.
+            v = m * s[:, i]
+            s[:, i + 1] = v - np.floor(v)
         return s
 
     def _distances(self, t, y, y_dot_g, y_sq):
