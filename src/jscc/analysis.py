@@ -104,10 +104,12 @@ class BoundSpec:
         return " ".join(bits)
 
 
+@np.errstate(over="ignore")
 def bound_eval(spec: BoundSpec, sigma):
     """Evaluate the curve at per-dimension noise level sigma.
 
-    Accepts a scalar or array; sigma must lie in (0, SIGMA_MAX].
+    Accepts a scalar or array; sigma must lie in (0, SIGMA_MAX].  A value
+    past the float range is inf.
     """
     sig = np.asarray(sigma, dtype=np.float64)
     if sig.size and (np.any(sig <= 0.0) or np.any(sig > SIGMA_MAX)):
@@ -141,6 +143,9 @@ def anchored(spec: BoundSpec, sigma: float, distortion: float) -> BoundSpec:
     if distortion <= 0.0:
         raise ValueError("distortion must be positive")
     base = bound_eval(dataclasses.replace(spec, scale=1.0), float(sigma))
+    if not (math.isfinite(base) and base > 0.0):
+        raise ValueError(f"{spec.kind} is {base!r} at sigma={float(sigma)!r}, "
+                         f"so no scale puts it through the point")
     return dataclasses.replace(spec, scale=distortion / base)
 
 

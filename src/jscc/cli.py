@@ -7,6 +7,10 @@ Subcommands:
   dimension  box-counting dimension of a codec's constellation
   stretch    perturbation stretch profile of a codec
 
+`simulate` plans (parses the config, builds every codec), computes every
+output in memory, and only then creates the output directory and writes
+the files, the summary last.  An exit 2 or 3 leaves no directory.
+
 Exit codes: 0 success, 2 configuration problem, 3 capacity limit, 4 I/O.
 """
 
@@ -32,8 +36,16 @@ SCHEMA_VERSION = 1
 
 CSV_HEADER = "label,snr_db,sigma,trials,distortion,std_err,sdr_db,capped"
 
-# SNR below this puts sigma outside the reference curves' domain.
+# Box sizes of a dimension check that names none.
+DEFAULT_EPSILONS = tuple(2.0 ** -e for e in range(4, 13))
+
+_CODEC_FIELDS = tuple(f.name for f in dataclasses.fields(CodecSpec))
+_BOUND_FIELDS = tuple(f.name for f in dataclasses.fields(BoundSpec))
+
+# SNR outside these puts sigma outside the reference curves' domain: above
+# SIGMA_MAX, or so small it underflows to 0.
 _OVERLAY_SNR_FLOOR = channel.snr_db_from_sigma(analysis.SIGMA_MAX) + 1e-6
+_OVERLAY_SNR_CEIL = channel.snr_db_from_sigma(sys.float_info.min)
 
 
 class ConfigError(Exception):
@@ -85,12 +97,24 @@ def _require(cond: bool, message: str):
 
 
 def _number(value, kind, where: str):
-    """kind(value) for kind int or float; a bad value is a ConfigError."""
+    """kind(value) for kind int or float; a bad value, or a float with a
+    fractional part where an int is wanted, is a ConfigError."""
+    noun = "an integer" if kind is int else "a number"
     try:
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{where} must be {noun}, got {value!r}") from exc
+
+
+def _object(data, where: str, allowed, what: str) -> dict:
+    """data, checked to be a JSON object whose keys all lie in allowed."""
+    head = f"{where}: " if where else ""
+    _require(isinstance(data, dict), f"{head}{what} must be an object")
+    for key in data:
+        _require(key in allowed, f"{head}unknown {what} field {key!r}")
+    return data
 
 
 def _check_seed(seed: int, where: str) -> int:
@@ -99,12 +123,7 @@ def _check_seed(seed: int, where: str) -> int:
 
 
 def _codec_from_dict(data, where: str) -> CodecSpec:
-    _require(isinstance(data, dict), f"{where}: codec must be an object")
-    allowed = {"scheme", "n", "a", "b", "alpha", "k", "p",
-               "grouping_variant", "inner"}
-    for key in data:
-        _require(key in allowed, f"{where}: unknown codec field {key!r}")
-    kwargs = dict(data)
+    kwargs = dict(_object(data, where, _CODEC_FIELDS, "codec"))
     if "b" in kwargs and kwargs["b"] is not None:
         _require(isinstance(kwargs["b"], (list, tuple)),
                  f"{where}: b must be a list")
@@ -113,26 +132,20 @@ def _codec_from_dict(data, where: str) -> CodecSpec:
         kwargs["inner"] = _codec_from_dict(kwargs["inner"], where + ".inner")
     try:
         return CodecSpec(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _overlay_from_dict(data, where: str) -> OverlayJob:
-    _require(isinstance(data, dict), f"{where}: overlay must be an object")
-    allowed = {"kind", "n", "alpha", "m", "rate", "scale", "anchor", "label"}
-    for key in data:
-        _require(key in allowed, f"{where}: unknown overlay field {key!r}")
-    kwargs = {k: v for k, v in data.items() if k in
-              ("kind", "n", "alpha", "m", "rate", "scale")}
+    _object(data, where, _BOUND_FIELDS + ("anchor", "label"), "overlay")
+    kwargs = {k: v for k, v in data.items() if k in _BOUND_FIELDS}
     try:
         spec = BoundSpec(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     anchor = data.get("anchor")
-    if anchor is not None:
-        _require(isinstance(anchor, str), f"{where}: anchor must be a string")
+    _require(anchor is None or isinstance(anchor, str),
+             f"{where}: anchor must be a string")
     if spec.kind == "opta_slb":
         _require(anchor is None,
                  f"{where}: opta_slb is an absolute reference; drop the anchor")
@@ -152,6 +165,12 @@ def _check_label(label, where: str) -> str:
     return label
 
 
+def _list(data: dict, key: str) -> list:
+    value = data.get(key, [])
+    _require(isinstance(value, (list, tuple)), f"{key} must be a list")
+    return value
+
+
 def _grid_from(data, where: str) -> tuple:
     _require(isinstance(data, (list, tuple)) and len(data) > 0,
              f"{where}: snr grid must be a non-empty list")
@@ -162,46 +181,35 @@ def _grid_from(data, where: str) -> tuple:
 
 
 def parse_config(data) -> Experiment:
-    _require(isinstance(data, dict), "top level must be an object")
-    allowed = {"schema_version", "name", "title", "master_seed", "snr_grid_db",
-               "sweep", "curves", "overlays", "dimension_checks"}
-    for key in data:
-        _require(key in allowed, f"unknown top-level field {key!r}")
+    _object(data, "", ("schema_version", "name", "title", "master_seed",
+                       "snr_grid_db", "sweep", "curves", "overlays",
+                       "dimension_checks"), "top-level")
     _require(data.get("schema_version") == SCHEMA_VERSION,
              f"schema_version must be {SCHEMA_VERSION}")
     name = data.get("name", "experiment")
     _check_label(name, "name")
 
-    sweep_cfg = data.get("sweep", {})
-    _require(isinstance(sweep_cfg, dict), "sweep must be an object")
-    for key in sweep_cfg:
-        _require(key in ("min_trials", "max_trials", "rel_se_target"),
-                 f"unknown sweep field {key!r}")
+    sweep_cfg = _object(data.get("sweep", {}), "",
+                        ("min_trials", "max_trials", "rel_se_target"), "sweep")
     min_trials = _number(sweep_cfg.get("min_trials", 100_000), int, "sweep.min_trials")
     max_trials = _number(sweep_cfg.get("max_trials", 10_000_000), int, "sweep.max_trials")
     rel_se = _number(sweep_cfg.get("rel_se_target", 0.1), float, "sweep.rel_se_target")
     master_seed = _check_seed(
         _number(data.get("master_seed", 0x5EED), int, "master_seed"), "master_seed")
 
-    default_grid = None
-    if "snr_grid_db" in data:
-        default_grid = _grid_from(data["snr_grid_db"], "snr_grid_db")
+    default_grid = (_grid_from(data["snr_grid_db"], "snr_grid_db")
+                    if "snr_grid_db" in data else None)
 
     curves = []
-    for i, entry in enumerate(data.get("curves", [])):
+    for i, entry in enumerate(_list(data, "curves")):
         where = f"curves[{i}]"
-        _require(isinstance(entry, dict), f"{where}: must be an object")
-        for key in entry:
-            _require(key in ("label", "codec", "snr_grid_db", "fit_window_db"),
-                     f"{where}: unknown field {key!r}")
+        _object(entry, where, ("label", "codec", "snr_grid_db", "fit_window_db"),
+                "curve")
         label = _check_label(entry.get("label"), where)
         spec = _codec_from_dict(entry.get("codec"), where + ".codec")
-        if "snr_grid_db" in entry:
-            grid = _grid_from(entry["snr_grid_db"], where + ".snr_grid_db")
-        elif default_grid is not None:
-            grid = default_grid
-        else:
-            raise ConfigError(f"{where}: no snr grid given and no default set")
+        grid = (_grid_from(entry["snr_grid_db"], where + ".snr_grid_db")
+                if "snr_grid_db" in entry else default_grid)
+        _require(grid is not None, f"{where}: no snr grid given and no default set")
         window = None
         if entry.get("fit_window_db") is not None:
             w = entry["fit_window_db"]
@@ -214,20 +222,17 @@ def parse_config(data) -> Experiment:
                                fit_window=window))
 
     overlays = tuple(_overlay_from_dict(entry, f"overlays[{i}]")
-                     for i, entry in enumerate(data.get("overlays", [])))
+                     for i, entry in enumerate(_list(data, "overlays")))
 
     dims = []
-    for i, entry in enumerate(data.get("dimension_checks", [])):
+    for i, entry in enumerate(_list(data, "dimension_checks")):
         where = f"dimension_checks[{i}]"
-        _require(isinstance(entry, dict), f"{where}: must be an object")
-        for key in entry:
-            _require(key in ("label", "codec", "epsilons", "samples"),
-                     f"{where}: unknown field {key!r}")
+        _object(entry, where, ("label", "codec", "epsilons", "samples"),
+                "dimension check")
         label = _check_label(entry.get("label"), where)
         spec = _codec_from_dict(entry.get("codec"), where + ".codec")
         eps = entry.get("epsilons")
-        if eps is None:
-            eps = [2.0 ** -e for e in range(4, 13)]
+        eps = DEFAULT_EPSILONS if eps is None else eps
         _require(isinstance(eps, (list, tuple)) and len(eps) >= 2,
                  f"{where}: epsilons must list at least two box sizes")
         eps = tuple(_number(e, float, f"{where}: epsilon") for e in eps)
@@ -258,17 +263,11 @@ def parse_config(data) -> Experiment:
             _require(ov.anchor in curve_labels,
                      f"overlays[{i}]: anchor {ov.anchor!r} names no curve")
 
-    return Experiment(
-        name=name,
-        title=data.get("title", name),
-        master_seed=master_seed,
-        min_trials=min_trials,
-        max_trials=max_trials,
-        rel_se_target=rel_se,
-        curves=tuple(curves),
-        overlays=overlays,
-        dimension_checks=tuple(dims),
-    )
+    return Experiment(name=name, title=data.get("title", name),
+                      master_seed=master_seed, min_trials=min_trials,
+                      max_trials=max_trials, rel_se_target=rel_se,
+                      curves=tuple(curves), overlays=overlays,
+                      dimension_checks=tuple(dims))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +372,7 @@ def _preset_bounds_gallery():
 
 
 def _preset_dimension_check():
-    eps = [2.0 ** -e for e in range(4, 13)]
+    eps = list(DEFAULT_EPSILONS)
     return {
         "schema_version": 1,
         "name": "dimension-check",
@@ -412,42 +411,45 @@ def _safe_name(label: str) -> str:
 
 
 def format_point(label: str, p) -> str:
-    return ",".join([
-        label,
-        repr(p.snr_db),
-        repr(p.sigma),
-        str(p.trials),
-        repr(p.distortion),
-        repr(p.std_err),
-        repr(p.sdr_db),
-        "1" if p.capped else "0",
-    ])
+    return ",".join([label, repr(p.snr_db), repr(p.sigma), str(p.trials),
+                     repr(p.distortion), repr(p.std_err), repr(p.sdr_db),
+                     "1" if p.capped else "0"])
 
 
-def _write_lines(path: str, lines) -> None:
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _curve_csv(label: str, points) -> str:
+    return _csv(CSV_HEADER, [format_point(label, p) for p in points])
+
+
+def _boxcount_csv(est) -> str:
+    return _csv("epsilon,count",
+                [f"{e!r},{c}" for e, c in zip(est.epsilons, est.counts)])
+
+
+def _write(path: str, text: str) -> None:
+    """The one place the CLI writes a file; callers render the text first."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def write_curve_csv(path: str, label: str, points) -> None:
-    _write_lines(path, [CSV_HEADER] + [format_point(label, p) for p in points])
+    _write(path, _curve_csv(label, points))
 
 
-def write_boxcount_csv(path: str, est) -> None:
-    _write_lines(path, ["epsilon,count"] + [f"{e!r},{c}" for e, c in
-                                            zip(est.epsilons, est.counts)])
-
-
-def _overlay_points(job: OverlayJob, curves_by_label, all_points, src_var):
+def _overlay_points(job: OverlayJob, curves_by_label, all_points):
     snrs = [p.snr_db for pts in all_points.values() for p in pts]
     snr_lo = max(min(snrs), _OVERLAY_SNR_FLOOR)
-    snr_hi = max(snrs)
+    snr_hi = min(max(snrs), _OVERLAY_SNR_CEIL)
     if snr_hi <= snr_lo:
         return job.spec, []
     grid = np.linspace(snr_lo, snr_hi, 121)
-    spec = job.spec
+    spec, src_var = job.spec, analysis.OPTA_SOURCE_VARIANCE
     if job.anchor is not None:
         anchor_job = curves_by_label[job.anchor]
+        src_var = anchor_job.spec.source_variance
         pts = [p for p in all_points[job.anchor] if p.distortion > 0.0]
         if anchor_job.fit_window is not None:
             lo, hi = anchor_job.fit_window
@@ -457,10 +459,14 @@ def _overlay_points(job: OverlayJob, curves_by_label, all_points, src_var):
             raise ConfigError(
                 f"overlay {job.label!r}: anchor curve has no usable points")
         best = max(pts, key=lambda p: p.snr_db)
-        spec = analysis.anchored(spec, best.sigma, best.distortion)
-    sig = channel.sigma_from_snr_db(grid)
-    vals = analysis.bound_eval(spec, sig)
-    sdr = 10.0 * np.log10(src_var / vals)
+        try:
+            spec = analysis.anchored(spec, best.sigma, best.distortion)
+        except ValueError as exc:
+            raise ConfigError(f"overlay {job.label!r}: {exc}") from exc
+    # Values past the float range become inf and drop out of the chart.
+    with np.errstate(over="ignore", divide="ignore"):
+        vals = analysis.bound_eval(spec, channel.sigma_from_snr_db(grid))
+        sdr = 10.0 * np.log10(src_var / vals)
     return spec, list(zip(grid.tolist(), sdr.tolist()))
 
 
@@ -484,19 +490,12 @@ def _fit_note(job: CurveJob, points) -> str:
 # subcommand drivers
 
 
-def _resolve_workers(flag_value):
-    if flag_value is not None:
-        value = flag_value
-    else:
-        raw = os.environ.get("JSCC_WORKERS")
-        if raw is None:
-            return 1
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"JSCC_WORKERS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ConfigError("worker count must be at least 1")
+def _resolve_workers(flag_value) -> int:
+    """--workers, else JSCC_WORKERS, else 1: validated, then only echoed."""
+    value = flag_value
+    if value is None:
+        value = _number(os.environ.get("JSCC_WORKERS", 1), int, "JSCC_WORKERS")
+    _require(value >= 1, "worker count must be at least 1")
     return value
 
 
@@ -519,28 +518,28 @@ def _load_experiment(args) -> Experiment:
 
 
 def _checked_plan(job: CurveJob, exp: Experiment) -> SweepPlan:
-    """Build a curve's plan and every grid point's codec, so a bad curve
-    fails before any Monte Carlo starts."""
+    """Build a curve's plan and every grid point's codec and normalization,
+    so a bad curve fails before any sweep starts."""
     try:
         plan = SweepPlan(codec=job.spec, snr_grid_db=job.grid,
-                         min_trials=exp.min_trials,
-                         max_trials=exp.max_trials,
+                         min_trials=exp.min_trials, max_trials=exp.max_trials,
                          rel_se_target=exp.rel_se_target,
                          master_seed=exp.master_seed)
         for snr in plan.snr_grid_db:
             sigma = channel.sigma_from_snr_db(snr)
-            harness.cached_codec(resolve_for_sigma(job.spec, sigma))
+            codec = harness.cached_codec(resolve_for_sigma(job.spec, sigma))
+            harness.get_normalization(codec)
     except ValueError as exc:
         raise ConfigError(f"curve {job.label!r}: {exc}") from exc
     return plan
 
 
-def _checked_codec(job: DimensionJob):
-    """Build a dimension check's codec before any Monte Carlo starts."""
+def _checked_codec(spec: CodecSpec, where: str):
+    """Build a codec up front, so a bad one fails before any Monte Carlo."""
     try:
-        return harness.cached_codec(job.spec)
+        return harness.cached_codec(spec)
     except ValueError as exc:
-        raise ConfigError(f"dimension check {job.label!r}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _dimension_estimate(job: DimensionJob, codec, master_seed: int, index: int):
@@ -554,44 +553,33 @@ def _dimension_estimate(job: DimensionJob, codec, master_seed: int, index: int):
         raise ConfigError(f"dimension check {job.label!r}: {exc}") from exc
 
 
-def run_simulate(args) -> int:
-    exp = _load_experiment(args)
-    workers = _resolve_workers(args.workers)
-    plans = [_checked_plan(job, exp) for job in exp.curves]
-    check_codecs = [_checked_codec(job) for job in exp.dimension_checks]
-    # Box counting draws from its own streams, so running it before the
-    # sweeps leaves every number as it was and lets a bad check fail first.
+def _simulate_files(exp: Experiment, plans, check_codecs, workers: int) -> list:
+    """Every file of a run as (name, text) pairs, the summary last."""
+    # Box counting draws from its own streams and is cheap, so it goes first:
+    # a check whose boxes cannot be keyed fails before the sweeps run.
     estimates = [_dimension_estimate(job, codec, exp.master_seed, index)
                  for index, (job, codec)
                  in enumerate(zip(exp.dimension_checks, check_codecs))]
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-
+    files, series = [], []
     summary = [f"experiment {exp.name}",
                f"seed {exp.master_seed}",
                f"workers {workers}"]
     all_points = {}
     curves_by_label = {c.label: c for c in exp.curves}
     for job, plan in zip(exp.curves, plans):
-        curve = harness.sweep(plan)
-        all_points[job.label] = curve.points
-        path = os.path.join(out_dir, _safe_name(job.label) + ".csv")
-        write_curve_csv(path, job.label, curve.points)
-        capped = sum(1 for p in curve.points if p.capped)
-        summary.append(f"curve {job.label}: {len(curve.points)} points, "
-                       f"{capped} capped, {_fit_note(job, curve.points)}")
+        points = harness.sweep(plan).points
+        all_points[job.label] = points
+        files.append((_safe_name(job.label) + ".csv",
+                      _curve_csv(job.label, points)))
+        series.append({"label": job.label, "dashed": False,
+                       "points": [(p.snr_db, p.sdr_db) for p in points
+                                  if math.isfinite(p.sdr_db)]})
+        capped = sum(1 for p in points if p.capped)
+        summary.append(f"curve {job.label}: {len(points)} points, "
+                       f"{capped} capped, {_fit_note(job, points)}")
 
-    series = []
-    for job in exp.curves:
-        pts = [(p.snr_db, p.sdr_db) for p in all_points[job.label]
-               if math.isfinite(p.sdr_db)]
-        series.append({"label": job.label, "points": pts, "dashed": False})
     for job in exp.overlays:
-        src_var = (curves_by_label[job.anchor].spec.source_variance
-                   if job.anchor is not None
-                   else analysis.OPTA_SOURCE_VARIANCE)
-        fitted, pts = _overlay_points(job, curves_by_label, all_points,
-                                      src_var)
+        fitted, pts = _overlay_points(job, curves_by_label, all_points)
         series.append({"label": job.label, "points": pts, "dashed": True})
         if job.anchor is None:
             summary.append(f"overlay {job.label}: absolute")
@@ -600,24 +588,32 @@ def run_simulate(args) -> int:
                            f"scale {fitted.scale:.6g}")
 
     for job, est in zip(exp.dimension_checks, estimates):
-        write_boxcount_csv(os.path.join(out_dir, _safe_name(job.label) + ".csv"), est)
+        files.append((_safe_name(job.label) + ".csv", _boxcount_csv(est)))
         summary.append(f"dimension {job.label}: fitted {est.fitted_dimension:.4f}, "
                        f"saturated {int(est.saturated)}, "
                        f"residual {est.fit_residual:.4f}")
 
     if exp.curves:
-        svg = svgplot.svg_document(series, title=exp.title,
-                                   x_label="channel SNR (dB)",
-                                   y_label="SDR (dB)")
-        with open(os.path.join(out_dir, _safe_name(exp.name) + ".svg"),
-                  "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(svg)
+        files.append((_safe_name(exp.name) + ".svg",
+                      svgplot.svg_document(series, title=exp.title,
+                                           x_label="channel SNR (dB)",
+                                           y_label="SDR (dB)")))
+    files.append((_safe_name(exp.name) + "_summary.txt",
+                  "\n".join(summary) + "\n"))
+    return files
 
-    text = "\n".join(summary) + "\n"
-    with open(os.path.join(out_dir, _safe_name(exp.name) + "_summary.txt"),
-              "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    sys.stdout.write(text)
+
+def run_simulate(args) -> int:
+    exp = _load_experiment(args)
+    workers = _resolve_workers(args.workers)
+    plans = [_checked_plan(job, exp) for job in exp.curves]
+    check_codecs = [_checked_codec(job.spec, f"dimension check {job.label!r}")
+                    for job in exp.dimension_checks]
+    files = _simulate_files(exp, plans, check_codecs, workers)
+    os.makedirs(args.out, exist_ok=True)
+    for name, text in files:
+        _write(os.path.join(args.out, name), text)
+    sys.stdout.write(files[-1][1])
     return 0
 
 
@@ -629,72 +625,57 @@ def _codec_from_json(text: str) -> CodecSpec:
     return _codec_from_dict(data, "--codec")
 
 
+def _floats(text, flag: str, default: tuple) -> tuple:
+    """A comma-separated option as floats, or default when it is not given."""
+    if text is None:
+        return default
+    return tuple(_number(v, float, f"{flag} entry") for v in text.split(","))
+
+
 def run_bounds(args) -> int:
-    kwargs = {"kind": args.kind, "n": args.n, "scale": args.scale,
-              "rate": args.rate}
-    if args.alpha is not None:
-        kwargs["alpha"] = args.alpha
-    if args.m is not None:
-        kwargs["m"] = args.m
     try:
-        spec = BoundSpec(**kwargs)
+        spec = BoundSpec(kind=args.kind, n=args.n, alpha=args.alpha, m=args.m,
+                         scale=args.scale, rate=args.rate)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     lo, hi = args.sigma_lo, args.sigma_hi
-    if not 0.0 < lo < hi or hi > analysis.SIGMA_MAX:
-        raise ConfigError(
-            f"sigma range must satisfy 0 < lo < hi <= {analysis.SIGMA_MAX:.6f}")
+    _require(0.0 < lo < hi <= analysis.SIGMA_MAX,
+             f"sigma range must satisfy 0 < lo < hi <= {analysis.SIGMA_MAX:.6f}")
+    _require(args.points >= 1, f"--points must be at least 1, got {args.points}")
     sig = np.geomspace(lo, hi, args.points)
     vals = analysis.bound_eval(spec, sig)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("kind,sigma,distortion\n")
-        for s, v in zip(sig.tolist(), vals.tolist()):
-            fh.write(f"{spec.kind},{s!r},{v!r}\n")
+    _write(args.out, _csv("kind,sigma,distortion",
+                          [f"{spec.kind},{s!r},{v!r}"
+                           for s, v in zip(sig.tolist(), vals.tolist())]))
     print(f"wrote {args.points} rows for {spec.describe()} to {args.out}")
     return 0
 
 
 def run_dimension(args) -> int:
-    spec = _codec_from_json(args.codec)
-    try:
-        codec = harness.cached_codec(spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if args.epsilons is not None:
-        eps = tuple(_number(v, float, "--epsilons entry") for v in args.epsilons.split(","))
-    else:
-        eps = tuple(2.0 ** -e for e in range(4, 13))
-    rng = channel.derived_rng(_check_seed(args.seed, "--seed"), 0xD1, 0)
-    try:
-        est = analysis.boxcount_dimension(
-            analysis.constellation_sampler(codec), eps, args.samples, rng=rng)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    write_boxcount_csv(args.out, est)
+    job = DimensionJob(label="--codec", spec=_codec_from_json(args.codec),
+                       epsilons=_floats(args.epsilons, "--epsilons",
+                                        DEFAULT_EPSILONS),
+                       samples=args.samples)
+    codec = _checked_codec(job.spec, "--codec")
+    est = _dimension_estimate(job, codec, _check_seed(args.seed, "--seed"), 0)
+    _write(args.out, _boxcount_csv(est))
     print(f"fitted_dimension {est.fitted_dimension:.4f} "
           f"saturated {int(est.saturated)} residual {est.fit_residual:.4f}")
     return 0
 
 
 def run_stretch(args) -> int:
-    spec = _codec_from_json(args.codec)
-    try:
-        codec = harness.cached_codec(spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if args.deltas is not None:
-        deltas = tuple(_number(v, float, "--deltas entry") for v in args.deltas.split(","))
-    else:
-        deltas = tuple(np.geomspace(1e-2, 1e-4, 7).tolist())
+    codec = _checked_codec(_codec_from_json(args.codec), "--codec")
+    deltas = _floats(args.deltas, "--deltas",
+                     tuple(np.geomspace(1e-2, 1e-4, 7).tolist()))
     rng = channel.derived_rng(_check_seed(args.seed, "--seed"), 0x57, 0)
     try:
         prof = analysis.stretch_profile(codec, deltas, args.samples, rng=rng)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("delta,mean_square\n")
-        for d, v in zip(prof.deltas, prof.mean_square):
-            fh.write(f"{d!r},{v!r}\n")
+    _write(args.out, _csv("delta,mean_square",
+                          [f"{d!r},{v!r}"
+                           for d, v in zip(prof.deltas, prof.mean_square)]))
     print(f"gamma {prof.gamma:.4f} residual {prof.fit_residual:.4f}")
     return 0
 

@@ -27,6 +27,14 @@ K_CAP = 24
 NORMALIZATION_MIN_SAMPLES = 10 ** 6
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_integer(value) or isinstance(value, (float, np.floating))
+
+
 class CapacityError(RuntimeError):
     """A requested configuration exceeds the enumerated-decoder caps."""
 
@@ -50,6 +58,14 @@ class CodecSpec:
     inner: "CodecSpec | None" = None
 
     def __post_init__(self):
+        for name in ("n", "p", "a", "k"):
+            value = getattr(self, name)
+            if value is None and name in ("a", "k"):
+                continue
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.alpha is not None and not _is_real(self.alpha):
+            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.grouping_variant not in GROUPING_VARIANTS:
@@ -110,7 +126,7 @@ class CodecSpec:
 
     @staticmethod
     def _check_multiplier(m) -> None:
-        if not isinstance(m, (int, np.integer)) or m < 2:
+        if not _is_integer(m) or m < 2:
             raise ValueError(f"stage multiplier must be an integer >= 2, got {m!r}")
 
     @property

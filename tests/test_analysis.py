@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,23 @@ def test_anchoring_pins_curve_through_point(kind_i, sig, target):
     spec = _MONOTONE_CASES[kind_i]
     fit = anchored(spec, sig, target)
     assert bound_eval(fit, sig) == pytest.approx(target, rel=1e-9)
+
+
+def test_anchoring_rejects_a_curve_outside_the_float_range():
+    with pytest.raises(ValueError, match="is 0.0"):  # sigma**4 underflows
+        anchored(BoundSpec(kind="shiftmap_upper", n=2), 1e-150, 1e-300)
+    with pytest.raises(ValueError, match="is inf"):
+        anchored(BoundSpec(kind="scheme2_upper", n=2, rate=1e300), 0.1, 1e-3)
+    with pytest.raises(ValueError, match="is nan"):
+        anchored(BoundSpec(kind="scheme1_upper", n=2, alpha=math.nan), 0.1, 1e-3)
+
+
+def test_bound_eval_overflows_to_inf_quietly():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bound_eval(BoundSpec(kind="opta_slb", n=2), 1e-160) == 0.0
+        assert bound_eval(BoundSpec(kind="scheme2_upper", n=2, rate=1e300),
+                          0.1) == math.inf
 
 
 def test_describe_mentions_parameters():

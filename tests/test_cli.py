@@ -121,6 +121,16 @@ def test_parse_config_happy_path():
      "curves[0].snr_grid_db: snr grid entries"),
     (lambda d: d["curves"][0].update(snr_grid_db=[-math.inf, 0.0]),
      "curves[0].snr_grid_db: snr grid entries must be finite"),
+    (lambda d: d["sweep"].update(min_trials=4096.9),
+     "sweep.min_trials must be an integer, got 4096.9"),
+    (lambda d: d["curves"][0]["codec"].update(n=2.5),
+     "curves[0].codec: n must be an integer"),
+    (lambda d: d["curves"][0].update(
+        codec={"scheme": "shift_map", "n": 3, "b": [2, 3.5]}),
+     "b entry must be an integer"),
+    (_with_check(samples=1000.5), "samples must be an integer"),
+    (lambda d: d.update(curves=5), "curves must be a list"),
+    (lambda d: d.update(overlays=None), "overlays must be a list"),
 ])
 def test_parse_config_rejections(mutate, fragment):
     data = _tiny_config()
@@ -128,6 +138,16 @@ def test_parse_config_rejections(mutate, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(data)
     assert fragment in str(err.value)
+
+
+def test_integral_floats_count_as_integers():
+    data = _tiny_config()
+    data["master_seed"] = 3.0
+    data["sweep"].update(min_trials=4096.0, max_trials=1e5)
+    exp = parse_config(data)
+    assert (exp.master_seed, exp.min_trials, exp.max_trials) == (3, 4096, 100_000)
+    assert all(type(v) is int for v in (exp.master_seed, exp.min_trials,
+                                        exp.max_trials))
 
 
 def test_codec_from_dict_inner_and_b():
@@ -312,13 +332,14 @@ def test_simulate_dimension_checks(tmp_path, capsys):
 
 
 def test_exit_codes(tmp_path):
+    unmade = tmp_path / "unmade"
     missing = tmp_path / "missing.json"
     assert cli.main(["simulate", "--config", str(missing),
-                     "--out", str(tmp_path)]) == 2
+                     "--out", str(unmade)]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     assert cli.main(["simulate", "--config", str(bad),
-                     "--out", str(tmp_path)]) == 2
+                     "--out", str(unmade)]) == 2
     cap = dict(_tiny_config())
     cap["curves"] = [{"label": "deep",
                       "codec": {"scheme": "type2", "n": 4},
@@ -327,7 +348,7 @@ def test_exit_codes(tmp_path):
     cap_path = tmp_path / "cap.json"
     cap_path.write_text(json.dumps(cap))
     assert cli.main(["simulate", "--config", str(cap_path),
-                     "--out", str(tmp_path)]) == 3
+                     "--out", str(unmade)]) == 3
     zero = dict(cap)
     zero["curves"] = [{"label": "flat",
                        "codec": {"scheme": "type1", "n": 2},
@@ -335,17 +356,29 @@ def test_exit_codes(tmp_path):
     zero_path = tmp_path / "zero.json"
     zero_path.write_text(json.dumps(zero))
     assert cli.main(["simulate", "--config", str(zero_path),
-                     "--out", str(tmp_path)]) == 2
+                     "--out", str(unmade)]) == 2
+    assert not unmade.exists()
     good = tmp_path / "good.json"
     good.write_text(json.dumps(_tiny_config()))
     assert cli.main(["simulate", "--config", str(good),
                      "--out", "/dev/null/nested"]) == 4
-    unmade = tmp_path / "unmade"
     assert cli.main(["simulate", "--config", str(good), "--seed", "-1",
                      "--out", str(unmade)]) == 2
     assert not unmade.exists()
+    high = _tiny_config()  # the anchored overlay's curve underflows to 0 here
+    high["snr_grid_db"] = [3000.0, 3010.0, 3020.0, 3030.0]
+    high["sweep"] = {"min_trials": 4096, "max_trials": 4096}
+    high["overlays"] = [{"kind": "shiftmap_upper", "n": 2, "anchor": "rep"}]
+    degenerate = _tiny_config()  # every digit weight underflows to 0
+    degenerate["curves"][0]["codec"] = {"scheme": "scheme1", "n": 2,
+                                        "alpha": math.inf}
     for bad_value in ({"sweep": {"min_trials": "abc"}}, {"master_seed": -1},
-                      {"snr_grid_db": [math.nan]}):
+                      {"snr_grid_db": [math.nan]},
+                      {"sweep": {"min_trials": 4096.9}},
+                      {"curves": [{"label": "half",
+                                   "codec": {"scheme": "shift_map", "n": 2.5,
+                                             "a": 3}}]},
+                      high, degenerate):
         data = _tiny_config()
         data.update(bad_value)
         bad_path = tmp_path / "bad_value.json"
@@ -376,6 +409,11 @@ def test_exit_codes(tmp_path):
                      "--out", out]) == 2
     assert cli.main(["stretch", "--codec", codec, "--seed", "-1",
                      "--out", out]) == 2
+    for codec in ('{"scheme":"shift_map","n":2.5,"a":3}',
+                  '{"scheme":"type1","n":2,"k":2.5}',
+                  '{"scheme":"scheme1","n":2.0,"alpha":3}'):
+        assert cli.main(["dimension", "--codec", codec, "--out", out]) == 2
+        assert cli.main(["stretch", "--codec", codec, "--out", out]) == 2
     with pytest.raises(SystemExit) as err:
         cli.main(["confabulate"])
     assert err.value.code == 2
@@ -392,7 +430,7 @@ def test_cap_breach_in_a_later_curve_fails_before_any_sweep(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(cfg),
                      "--out", str(out)]) == 3
-    assert list(out.glob("*.csv")) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("codec,code", [
@@ -408,7 +446,20 @@ def test_bad_dimension_check_fails_before_any_csv(tmp_path, codec, code):
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(cfg),
                      "--out", str(out)]) == code
-    assert list(out.glob("*.csv")) == []
+    assert not out.exists()
+
+
+def test_overlays_stop_where_sigma_underflows(tmp_path):
+    data = _tiny_config()
+    data["snr_grid_db"] = [10.0, 100_000.0]  # sigma is 0.0 at the top point
+    data["curves"][0]["fit_window_db"] = None
+    data["overlays"] = [{"kind": "opta_slb", "n": 2}]
+    cfg = tmp_path / "top.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+    assert (out / "tiny.svg").read_text().count('class="overlay"') == 1
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +486,9 @@ def test_bounds_command_matches_module(tmp_path):
                      "--out", str(out)]) == 2
     assert cli.main(["bounds", "--kind", "opta_slb", "--n", "2",
                      "--out", "/dev/null/x.csv"]) == 4
+    for points in ("0", "-1"):
+        assert cli.main(["bounds", "--kind", "opta_slb", "--n", "2",
+                         "--points", points, "--out", str(out)]) == 2
 
 
 def test_dimension_command(tmp_path, capsys):

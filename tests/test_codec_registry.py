@@ -77,6 +77,21 @@ def test_validation_errors():
         CodecSpec("scheme2", n=1)
 
 
+@pytest.mark.parametrize("fields", [
+    {"scheme": "shift_map", "n": 2.5, "a": 3},
+    {"scheme": "type1", "n": 2, "k": 2.5},
+    {"scheme": "scheme1", "n": 2.0, "alpha": 3},
+    {"scheme": "repetition", "n": 2, "p": 10.5},
+    {"scheme": "repetition", "n": True},
+    {"scheme": "repetition", "n": 2, "a": [3]},
+    {"scheme": "repetition", "n": 2, "alpha": [3]},
+    {"scheme": "scheme1", "n": 2, "alpha": "3"},
+])
+def test_integer_and_number_fields_are_checked(fields):
+    with pytest.raises(ValueError):
+        CodecSpec(**fields)
+
+
 def test_describe_mentions_parameters():
     assert "a=33" in CodecSpec("shift_map", n=2, a=33).describe()
     assert "k=auto" in CodecSpec("type2", n=2).describe()
