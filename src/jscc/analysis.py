@@ -76,22 +76,24 @@ class BoundSpec:
     def __post_init__(self):
         if self.kind not in BOUND_KINDS:
             raise ValueError(f"unknown curve kind {self.kind!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.scale <= 0.0:
-            raise ValueError("scale must be positive")
+        # Each check is written so that NaN fails it: every comparison with
+        # NaN is False.
+        if not 1 <= self.n < math.inf:
+            raise ValueError("n must be finite and >= 1")
+        if not (0.0 < self.scale < math.inf):
+            raise ValueError("scale must be positive and finite")
         if self.kind in _NEEDS_ALPHA:
             if self.alpha is None:
                 raise ValueError(f"{self.kind} requires alpha")
-            if self.alpha <= 2.0:
-                raise ValueError("alpha must exceed 2")
+            if not (2.0 < self.alpha < math.inf):
+                raise ValueError("alpha must be finite and exceed 2")
         if self.kind in _NEEDS_SPLIT:
             if self.m is None:
                 raise ValueError(f"{self.kind} requires m")
             if not 1 <= self.m <= self.n:
                 raise ValueError("m must lie in 1..n")
-        if self.kind in _NEEDS_RATE and self.rate <= 0.0:
-            raise ValueError("rate must be positive")
+        if self.kind in _NEEDS_RATE and not (0.0 < self.rate < math.inf):
+            raise ValueError("rate must be positive and finite")
 
     def describe(self) -> str:
         bits = [self.kind, f"n={self.n}"]

@@ -41,6 +41,7 @@ DEFAULT_EPSILONS = tuple(2.0 ** -e for e in range(4, 13))
 
 _CODEC_FIELDS = tuple(f.name for f in dataclasses.fields(CodecSpec))
 _BOUND_FIELDS = tuple(f.name for f in dataclasses.fields(BoundSpec))
+_SWEEP_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SweepPlan)}
 
 # SNR outside these puts sigma outside the reference curves' domain: above
 # SIGMA_MAX, or so small it underflows to 0.
@@ -153,6 +154,8 @@ def _overlay_from_dict(data, where: str) -> OverlayJob:
         _require(anchor is not None,
                  f"{where}: {spec.kind} carries an undetermined constant; "
                  f"set anchor to a curve label")
+        _require("scale" not in data,
+                 f"{where}: an anchored overlay fits its own scale; drop scale")
     label = data.get("label") or spec.describe()
     return OverlayJob(label=str(label), spec=spec, anchor=anchor)
 
@@ -189,13 +192,15 @@ def parse_config(data) -> Experiment:
     name = data.get("name", "experiment")
     _check_label(name, "name")
 
-    sweep_cfg = _object(data.get("sweep", {}), "",
-                        ("min_trials", "max_trials", "rel_se_target"), "sweep")
-    min_trials = _number(sweep_cfg.get("min_trials", 100_000), int, "sweep.min_trials")
-    max_trials = _number(sweep_cfg.get("max_trials", 10_000_000), int, "sweep.max_trials")
-    rel_se = _number(sweep_cfg.get("rel_se_target", 0.1), float, "sweep.rel_se_target")
+    sweep_cfg = {**_SWEEP_DEFAULTS,
+                 **_object(data.get("sweep", {}), "",
+                           ("min_trials", "max_trials", "rel_se_target"), "sweep")}
+    min_trials = _number(sweep_cfg["min_trials"], int, "sweep.min_trials")
+    max_trials = _number(sweep_cfg["max_trials"], int, "sweep.max_trials")
+    rel_se = _number(sweep_cfg["rel_se_target"], float, "sweep.rel_se_target")
     master_seed = _check_seed(
-        _number(data.get("master_seed", 0x5EED), int, "master_seed"), "master_seed")
+        _number(data.get("master_seed", _SWEEP_DEFAULTS["master_seed"]), int,
+                "master_seed"), "master_seed")
 
     default_grid = (_grid_from(data["snr_grid_db"], "snr_grid_db")
                     if "snr_grid_db" in data else None)
@@ -356,8 +361,7 @@ def _preset_bounds_gallery():
         "overlays": [
             {"kind": "opta_slb", "n": 2},
             {"kind": "shiftmap_upper", "n": 2, "anchor": "shift map a=3 n=2"},
-            {"kind": "shiftmap_lower", "n": 2, "scale": 0.1,
-             "anchor": "shift map a=3 n=2"},
+            {"kind": "shiftmap_lower", "n": 2, "anchor": "shift map a=3 n=2"},
             {"kind": "scheme1_upper", "n": 2, "alpha": 4.0,
              "anchor": "shift map a=3 n=2"},
             {"kind": "scheme2_upper", "n": 2, "rate": 2.0,
@@ -433,10 +437,6 @@ def _write(path: str, text: str) -> None:
     """The one place the CLI writes a file; callers render the text first."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-
-
-def write_curve_csv(path: str, label: str, points) -> None:
-    _write(path, _curve_csv(label, points))
 
 
 def _overlay_points(job: OverlayJob, curves_by_label, all_points):

@@ -14,8 +14,7 @@ from .base import (
     GROUPING_VARIANTS,
 )
 from .linear import RepetitionCodec, ShiftMapCodec, SphericalCodec, optimal_a
-from .fractal import Scheme1Codec
-from .layered import Scheme2Codec
+from .layered import Scheme1Codec, Scheme2Codec
 from .hybrid import Type1Codec, Type2Codec
 from .unbounded import UnboundedWrapCodec
 

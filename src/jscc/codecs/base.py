@@ -24,7 +24,10 @@ GROUPING_VARIANTS = ("standard", "shifted")
 SEGMENT_CAP = 1 << 20
 K_CAP = 24
 
-NORMALIZATION_MIN_SAMPLES = 10 ** 6
+NORMALIZATION_SAMPLES = 10 ** 6
+
+# Unit roundoff of float64, the bound on one rounding's relative error.
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
 
 
 def _is_integer(value) -> bool:
@@ -228,18 +231,16 @@ def _column_sums(s: np.ndarray) -> np.ndarray:
     return np.cumsum(s, axis=0)[-1] if s.shape[1] > 1 else s.sum(axis=0)
 
 
-def measure_normalization(codec: Codec, sample_count: int = NORMALIZATION_MIN_SAMPLES,
-                          rng: np.random.Generator | None = None) -> NormalizationRecord:
-    if sample_count < NORMALIZATION_MIN_SAMPLES:
-        raise ValueError(f"need at least {NORMALIZATION_MIN_SAMPLES} samples")
-    if rng is None:
-        rng = np.random.default_rng(0x5EED)
+def measure_normalization(codec: Codec) -> NormalizationRecord:
+    """Moments of the codec's constellation over a fixed NORMALIZATION_SAMPLES
+    source draws from seed 0x5EED, the same for every run."""
+    rng = np.random.default_rng(0x5EED)
     chunk = 1 << 16
     done = 0
     dim_sum = np.zeros(codec.dims)
     dim_sq = np.zeros(codec.dims)
-    while done < sample_count:
-        m = min(chunk, sample_count - done)
+    while done < NORMALIZATION_SAMPLES:
+        m = min(chunk, NORMALIZATION_SAMPLES - done)
         x = numrep.draw_source(codec.spec.source_kind, rng, m)
         s = codec.encode(x)
         dim_sum += _column_sums(s)

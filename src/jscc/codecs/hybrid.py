@@ -11,8 +11,10 @@ All weights are multiples of 2**-k, hence every subset sum is exact in float64
 and equal table values can be deduplicated reliably.
 
 Digits travel as the truncation integer of numrep (source bit 0 most
-significant): encoders read the digital slots and the residual streams out of
-it, decoders OR table patterns and stream decisions back into it.
+significant).  Each dimension's list of source bits states the digital
+layout once: encoders fold it out of the integer, and decoders OR in the
+mask of the nearest table entry, spread from it at build time, and the
+residual streams' decisions.
 """
 
 import math
@@ -20,7 +22,7 @@ import math
 import numpy as np
 
 from .base import Codec, CodecSpec
-from .layered import build_streams, decode_stream, fold_digits
+from .layered import build_streams, decode_stream, fold_digits, spread_digits
 from .. import numrep
 
 
@@ -48,9 +50,9 @@ class PatternTable:
         self.values = sv[keep]
         self.patterns = sp[keep]
 
-    def nearest(self, y, points=None) -> tuple[np.ndarray, np.ndarray]:
-        """Value and pattern of the entry whose point (sorted, one per entry;
-        default the values themselves) lies nearest to y."""
+    def nearest(self, y, points=None) -> np.ndarray:
+        """Index of the entry whose point (sorted, one per entry; default the
+        values themselves) lies nearest to y."""
         if points is None:
             points = self.values
         idx = np.searchsorted(points, y)
@@ -59,28 +61,7 @@ class PatternTable:
         d_lo = np.abs(y - points[lo])
         d_hi = np.abs(y - points[hi])
         pick_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (self.patterns[hi] < self.patterns[lo]))
-        sel = np.where(pick_hi, hi, lo)
-        return self.values[sel], self.patterns[sel]
-
-
-def digital_layer(u: np.ndarray, p: int, w: np.ndarray, n: int,
-                  last_dim_bits: int) -> np.ndarray:
-    """(rows, n) digital-layer values of the p-digit integers u: bit i of
-    dimension j is source bit (i-1)*n + j, with len(w) bits per dimension but
-    last_dim_bits on the last."""
-    cols = []
-    for j in range(n):
-        depth = last_dim_bits if j == n - 1 else len(w)
-        cols.append(fold_digits(u, p, np.arange(depth) * n + j, w[:depth]))
-    return np.stack(cols, axis=1)
-
-
-def spread_pattern(u: np.ndarray, pattern: np.ndarray, depth: int, n: int,
-                   dim: int, p: int) -> None:
-    """OR depth-bit pattern ints, weight index 1 first, into source bits
-    (i-1)*n + dim of the p-digit integers u."""
-    for i in range(depth):
-        u |= ((pattern >> (depth - 1 - i)) & 1) << (p - 1 - (i * n + dim))
+        return np.where(pick_hi, hi, lo)
 
 
 class Type1Codec(Codec):
@@ -100,11 +81,16 @@ class Type1Codec(Codec):
         self.seg = math.ldexp(1.0, -(k + 1))
         self.full_table = PatternTable(self.w)
         self.analog_table = PatternTable(self.w[: k - 1])
+        # Bit i of dimension j is source bit i*n + j; the last dimension has k-1.
+        self.bits = [np.arange(k if j < n - 1 else k - 1) * n + j for j in range(n)]
+        tables = [self.full_table] * (n - 1) + [self.analog_table]
+        self.masks = [spread_digits(t.patterns, len(b), self.m - 1 - b)
+                      for t, b in zip(tables, self.bits)]
 
     def encode(self, x):
         x = np.asarray(x, dtype=np.float64)
         d = numrep.unit_fraction_ints(x, self.m)
-        s = digital_layer(d, self.m, self.w, self.spec.n, self.spec.k - 1)
+        s = np.stack([fold_digits(d, self.m, b, self.w) for b in self.bits], axis=1)
         # Exact residual: q is representable, x - q cancels without rounding.
         q = np.ldexp(d.astype(np.float64), -self.m) - 0.5
         frac = np.ldexp(x - q, self.m)
@@ -113,17 +99,15 @@ class Type1Codec(Codec):
 
     def decode(self, y, sigma=0.0):
         y = np.asarray(y, dtype=np.float64) + 1.0
-        n, k = self.spec.n, self.spec.k
+        n = self.spec.n
         d = np.zeros(y.shape[0], dtype=np.int64)
         for j in range(n - 1):
-            _, pat = self.full_table.nearest(y[:, j])
-            spread_pattern(d, pat, k, n, j, self.m)
+            d |= self.masks[j].take(self.full_table.nearest(y[:, j]))
         frac = self._decode_analog_dim(y[:, n - 1], d)
         return (np.ldexp(d.astype(np.float64), -self.m) - 0.5) + frac * math.ldexp(1.0, -self.m)
 
     def _decode_analog_dim(self, y, d):
         """Nearest point on the union of analog segments [v, v + seg)."""
-        n, k = self.spec.n, self.spec.k
         vals, pats = self.analog_table.values, self.analog_table.patterns
         idx = np.searchsorted(vals, y)
         lo = np.clip(idx - 1, 0, len(vals) - 1)
@@ -133,10 +117,8 @@ class Type1Codec(Codec):
         d_lo = np.abs(y - vals[lo] - t_lo * self.seg)
         d_hi = np.abs(y - vals[hi] - t_hi * self.seg)
         pick_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (pats[hi] < pats[lo]))
-        pat = np.where(pick_hi, pats[hi], pats[lo])
-        frac = np.where(pick_hi, t_hi, t_lo)
-        spread_pattern(d, pat, k - 1, n, n - 1, self.m)
-        return frac
+        d |= self.masks[-1].take(np.where(pick_hi, hi, lo))
+        return np.where(pick_hi, t_hi, t_lo)
 
 
 class Type2Codec(Codec):
@@ -150,15 +132,18 @@ class Type2Codec(Codec):
         self.seg = math.ldexp(1.0, -(k + 1))
         self.streams = build_streams(n, p - self.m, spec.grouping_variant)
         self.table = PatternTable(self.w)
+        # Bit i of dimension j is source bit i*n + j.
+        self.bits = [np.arange(k) * n + j for j in range(n)]
+        self.masks = [spread_digits(self.table.patterns, k, p - 1 - b) for b in self.bits]
         # Decoding against segment midpoints makes the digital decision match
         # the joint nearest point: all segments of a dimension share one span.
         self.centers = [self.table.values + 0.5 * self.seg * s.max_value
                         for s in self.streams]
 
     def encode(self, x):
-        n, k, p = self.spec.n, self.spec.k, self.spec.p
+        p = self.spec.p
         u = numrep.unit_fraction_ints(np.asarray(x, dtype=np.float64), p)
-        digital = digital_layer(u, p, self.w, n, k)
+        digital = np.stack([fold_digits(u, p, b, self.w) for b in self.bits], axis=1)
         # Residual source bit b is bit m + b of u, the b-th of its last p - m digits.
         residual = np.stack([fold_digits(u, p - self.m, s.data_bits, s.data_weights)
                              for s in self.streams], axis=1)
@@ -166,11 +151,10 @@ class Type2Codec(Codec):
 
     def decode(self, y, sigma=0.0):
         y = np.asarray(y, dtype=np.float64)
-        n, k, p = self.spec.n, self.spec.k, self.spec.p
         u = np.zeros(y.shape[0], dtype=np.int64)
-        for j in range(n):
-            v, pat = self.table.nearest(y[:, j], self.centers[j])
-            spread_pattern(u, pat, k, n, j, p)
-            r = (y[:, j] - v) / self.seg
-            decode_stream(r, self.streams[j], u)
-        return numrep.cell_midpoints(u, p)
+        for j, stream in enumerate(self.streams):
+            sel = self.table.nearest(y[:, j], self.centers[j])
+            u |= self.masks[j].take(sel)
+            r = (y[:, j] - self.table.values.take(sel)) / self.seg
+            decode_stream(r, stream, u)
+        return numrep.cell_midpoints(u, self.spec.p)

@@ -6,10 +6,11 @@ or a forced 0 separator.  Each stream is decoded by the greedy rule at subtree
 midpoints, evaluated a chunk of about six digits at a time: a bucketed table
 of breakpoints gives the chunk's digits in one lookup, a rounding margin
 decides which rows the lookup provably settles, and the sequential greedy
-decodes the rest (decode_stream).  The fractal code (scheme1, fractal.py)
-uses base-alpha streams with no separators.  The layered code here (scheme2)
-uses base-2 streams with separators: they, not a widened base, create the
-decoding gaps.
+decodes the rest (decode_stream).  The fractal code (scheme1) deals source
+bits round-robin onto base-alpha streams with no separators (alpha > 2):
+the widened base opens a gap between the two subtrees at every digit.  The
+layered code (scheme2) uses base-2 streams with separators: they, not a
+widened base, create the decoding gaps.
 
 Source bits are split into consecutive groups.  Group l goes to dimension
 ((l-1) mod n) + 1; within its dimension the group occupies the next size(l)
@@ -24,7 +25,8 @@ a slightly different protection profile at the same asymptotic cost.
 The digit format shared by every digit-stream code is the truncation integer
 u of numrep.unit_fraction_ints: p digits, source bit 0 the most significant.
 Encoders read slots out of u by shifts; decoders OR their digit decisions
-back into u and reconstruct the cell midpoint from it.
+back into u, as masks spread once per table (spread_digits), and reconstruct
+the cell midpoint from it.
 """
 
 import functools
@@ -32,7 +34,7 @@ import math
 
 import numpy as np
 
-from .base import Codec, CodecSpec
+from .base import Codec, CodecSpec, UNIT_ROUNDOFF
 from .. import numrep
 
 
@@ -44,7 +46,6 @@ TABLE_SPAN = 1024.0
 # A digit is tabulated while its subtree gap is at least this many margins of
 # a row inside the constellation, so rows near a cut are rare.
 GAP_MARGINS = 4096.0
-UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
 
 
 def group_size(index: int, n: int, variant: str) -> int:
@@ -67,6 +68,9 @@ class DigitStream:
         all_weights = base ** -np.arange(1, len(self.slots) + 1, dtype=np.float64)
         data = self.slots >= 0
         self.data_weights = all_weights[data]
+        if not np.all(self.data_weights > 0.0):
+            raise ValueError(f"digit weights of base {base:g} underflow to 0 "
+                             f"within {len(self.slots)} slots")
         self.data_bits = self.slots[data]
         self.shifts = p - 1 - self.data_bits
         # Largest value the remaining data digits can still add after each one.
@@ -120,9 +124,7 @@ class ChunkTable:
         k = stop - start
         leaves = np.arange(1 << k, dtype=np.int64)
         self.offsets = fold_digits(leaves, k, range(k), stream.data_weights[start:stop])
-        self.patterns = np.zeros_like(leaves)
-        for i in range(k):
-            self.patterns |= ((leaves >> (k - 1 - i)) & 1) << stream.shifts[start + i]
+        self.patterns = spread_digits(leaves, k, stream.shifts[start:stop])
         # Leaves j-1 and j first differ at the lowest set bit of j, the chunk
         # digit k - frexp exponent; above it both share the prefix leaf j - low.
         right = leaves[1:]
@@ -183,6 +185,15 @@ def build_streams(n: int, p: int, variant: str = "standard") -> list[DigitStream
         if take == size:
             slots[dim].append(-1)
     return [DigitStream(s, p) for s in slots]
+
+
+def spread_digits(leaves: np.ndarray, k: int, shifts) -> np.ndarray:
+    """Masks of k-digit numbers (first digit most significant) with digit i
+    moved to bit shifts[i]: a table entry's digits, ready to OR into u."""
+    out = np.zeros_like(leaves)
+    for i in range(k):
+        out |= ((leaves >> (k - 1 - i)) & 1) << shifts[i]
+    return out
 
 
 def fold_digits(u: np.ndarray, p: int, bits, weights) -> np.ndarray:
@@ -304,3 +315,9 @@ class StreamCodec(Codec):
 class Scheme2Codec(StreamCodec):
     def __init__(self, spec: CodecSpec):
         super().__init__(spec, build_streams(spec.n, spec.p, spec.grouping_variant))
+
+
+class Scheme1Codec(StreamCodec):
+    def __init__(self, spec: CodecSpec):
+        super().__init__(spec, [DigitStream(range(dim, spec.p, spec.n), spec.p, spec.alpha)
+                                for dim in range(spec.n)])

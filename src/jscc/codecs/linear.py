@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from .base import Codec, CodecSpec, CapacityError, SEGMENT_CAP
+from .base import Codec, CodecSpec, CapacityError, SEGMENT_CAP, UNIT_ROUNDOFF
 
 NEWTON_STEPS = 5
 # Correlations held at once by the spherical grid search.
@@ -91,7 +91,7 @@ class ShiftMapCodec(Codec):
         # The computed distance is within (n + 6) u M of the exact one, with
         # u the unit roundoff and M = (|y| + 2 sqrt(G))^2; twice that is the
         # margin a segment's lower bound may exceed the best distance by.
-        self._round_err = 2.0 * (spec.n + 6) * (np.finfo(np.float64).eps / 2.0)
+        self._round_err = 2.0 * (spec.n + 6) * UNIT_ROUNDOFF
 
     def encode(self, x):
         x = np.asarray(x, dtype=np.float64)

@@ -130,6 +130,17 @@ def test_bound_spec_validation():
         BoundSpec(kind="opta_slb", n=0)
     with pytest.raises(ValueError):
         BoundSpec(kind="opta_slb", n=2, scale=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            BoundSpec(kind="opta_slb", n=2, scale=bad)
+        with pytest.raises(ValueError):
+            BoundSpec(kind="scheme2_upper", n=2, rate=bad)
+        with pytest.raises(ValueError):
+            BoundSpec(kind="scheme1_upper", n=2, alpha=bad)
+        with pytest.raises(ValueError):
+            BoundSpec(kind="hda_lower", n=2, m=bad)
+        with pytest.raises(ValueError):
+            BoundSpec(kind="opta_slb", n=bad)
 
 
 _MONOTONE_CASES = [
@@ -178,7 +189,10 @@ def test_anchoring_rejects_a_curve_outside_the_float_range():
         anchored(BoundSpec(kind="shiftmap_upper", n=2), 1e-150, 1e-300)
     with pytest.raises(ValueError, match="is inf"):
         anchored(BoundSpec(kind="scheme2_upper", n=2, rate=1e300), 0.1, 1e-3)
-    with pytest.raises(ValueError, match="is nan"):
+    with pytest.raises(ValueError, match="is nan"):  # 0 * inf
+        with np.errstate(invalid="ignore"):
+            anchored(BoundSpec(kind="scheme2_upper", n=2, rate=1e300), 1e-150, 1e-3)
+    with pytest.raises(ValueError, match="alpha must be finite"):
         anchored(BoundSpec(kind="scheme1_upper", n=2, alpha=math.nan), 0.1, 1e-3)
 
 

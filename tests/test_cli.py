@@ -106,6 +106,9 @@ def test_parse_config_happy_path():
         {"kind": "shiftmap_upper", "n": 2}), "anchor"),
     (lambda d: d["overlays"].append(
         {"kind": "opta_slb", "n": 2, "anchor": "rep"}), "absolute"),
+    (lambda d: d["overlays"][1].update(scale=0.1), "fits its own scale; drop scale"),
+    (lambda d: d["overlays"][0].update(scale=math.nan),
+     "overlays[0]: scale must be positive and finite"),
     (lambda d: d.update(curves=[], overlays=[]), "no curves"),
     (lambda d: d["curves"][0].pop("codec"), "codec"),
     (_with_check(epsilons=[0.01, 0.1]), "strictly decreasing"),
@@ -138,6 +141,16 @@ def test_parse_config_rejections(mutate, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(data)
     assert fragment in str(err.value)
+
+
+def test_sweep_defaults_are_the_sweep_plan_defaults():
+    data = _tiny_config()
+    del data["sweep"], data["master_seed"]
+    exp = parse_config(data)
+    plan = harness.SweepPlan(codec=exp.curves[0].spec, snr_grid_db=(0.0,))
+    assert ((exp.min_trials, exp.max_trials, exp.rel_se_target, exp.master_seed)
+            == (plan.min_trials, plan.max_trials, plan.rel_se_target,
+                plan.master_seed))
 
 
 def test_integral_floats_count_as_integers():
@@ -203,7 +216,7 @@ def test_csv_round_trip_bit_exact(tmp_path):
                  std_err=0.0, sdr_db=math.inf, capped=True),
     ]
     path = tmp_path / "curve.csv"
-    cli.write_curve_csv(str(path), "probe", points)
+    path.write_text(cli._curve_csv("probe", points))
     text = path.read_text()
     assert text.splitlines()[0] == cli.CSV_HEADER
     parsed = read_curve_csv(str(path))
@@ -213,7 +226,7 @@ def test_csv_round_trip_bit_exact(tmp_path):
 
 def test_csv_empty_curve(tmp_path):
     path = tmp_path / "empty.csv"
-    cli.write_curve_csv(str(path), "none", [])
+    path.write_text(cli._curve_csv("none", []))
     assert path.read_text() == cli.CSV_HEADER + "\n"
     assert read_curve_csv(str(path)) == []
 
@@ -372,13 +385,17 @@ def test_exit_codes(tmp_path):
     degenerate = _tiny_config()  # every digit weight underflows to 0
     degenerate["curves"][0]["codec"] = {"scheme": "scheme1", "n": 2,
                                         "alpha": math.inf}
+    underflow = _tiny_config()  # digit weights past the first underflow to 0
+    underflow["curves"][0]["codec"] = {"scheme": "scheme1", "n": 2, "alpha": 1e300}
+    nan_scale = _tiny_config()
+    nan_scale["overlays"][0]["scale"] = math.nan
     for bad_value in ({"sweep": {"min_trials": "abc"}}, {"master_seed": -1},
                       {"snr_grid_db": [math.nan]},
                       {"sweep": {"min_trials": 4096.9}},
                       {"curves": [{"label": "half",
                                    "codec": {"scheme": "shift_map", "n": 2.5,
                                              "a": 3}}]},
-                      high, degenerate):
+                      high, degenerate, underflow, nan_scale):
         data = _tiny_config()
         data.update(bad_value)
         bad_path = tmp_path / "bad_value.json"
@@ -411,9 +428,11 @@ def test_exit_codes(tmp_path):
                      "--out", out]) == 2
     for codec in ('{"scheme":"shift_map","n":2.5,"a":3}',
                   '{"scheme":"type1","n":2,"k":2.5}',
-                  '{"scheme":"scheme1","n":2.0,"alpha":3}'):
+                  '{"scheme":"scheme1","n":2.0,"alpha":3}',
+                  '{"scheme":"scheme1","n":2,"alpha":1e300}'):
         assert cli.main(["dimension", "--codec", codec, "--out", out]) == 2
         assert cli.main(["stretch", "--codec", codec, "--out", out]) == 2
+    assert not os.path.exists(out)
     with pytest.raises(SystemExit) as err:
         cli.main(["confabulate"])
     assert err.value.code == 2
@@ -489,6 +508,21 @@ def test_bounds_command_matches_module(tmp_path):
     for points in ("0", "-1"):
         assert cli.main(["bounds", "--kind", "opta_slb", "--n", "2",
                          "--points", points, "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["--kind", "opta_slb", "--scale", "nan"],
+    ["--kind", "opta_slb", "--scale", "inf"],
+    ["--kind", "scheme2_upper", "--rate", "nan"],
+    ["--kind", "type2_upper", "--rate", "inf"],
+    ["--kind", "scheme1_upper", "--alpha", "nan"],
+    ["--kind", "scheme1_upper", "--alpha", "inf"],
+])
+def test_bounds_rejects_non_finite_parameters(tmp_path, args):
+    out = tmp_path / "b.csv"
+    assert cli.main(["bounds", *args, "--n", "2", "--points", "3",
+                     "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_dimension_command(tmp_path, capsys):

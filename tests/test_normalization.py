@@ -35,12 +35,6 @@ def test_measurement_is_deterministic():
     assert a == b
 
 
-def test_sample_floor_enforced():
-    c = build_codec(CodecSpec("repetition", n=2))
-    with pytest.raises(ValueError):
-        measure_normalization(c, sample_count=10 ** 5)
-
-
 def test_wrapper_measures_under_its_own_source():
     rec = measure_normalization(build_codec(CodecSpec("unbounded_wrap", n=2)))
     assert rec.power > 0.5  # first coordinate carries the integer part
