@@ -44,7 +44,11 @@ def awgn(s: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0.0:
         return np.array(s, dtype=np.float64, copy=True)
-    return s + sigma * rng.standard_normal(np.shape(s))
+    # sigma * z + s in place: the same roundings as s + sigma * z.
+    z = rng.standard_normal(np.shape(s))
+    z *= sigma
+    z += s
+    return z
 
 
 def batch_rng(master_seed: int, point_index: int, batch_index: int) -> np.random.Generator:

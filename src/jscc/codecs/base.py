@@ -184,10 +184,11 @@ class CodecSpec:
 class Codec:
     """One concrete encoder/decoder pair.
 
-    encode maps a batch of source samples to an (n_samples, dims) array of raw
-    channel coordinates.  decode maps received raw coordinates back to source
-    estimates; decoders that model the noise level take it as sigma (std per
-    raw coordinate).
+    encode maps a batch of source samples to a new (n_samples, dims) float64
+    array of raw channel coordinates, which the codec keeps no reference to,
+    so the caller may rescale it in place.  decode maps received raw
+    coordinates back to source estimates; decoders that model the noise level
+    take it as sigma (std per raw coordinate).
     """
 
     def __init__(self, spec: CodecSpec):

@@ -12,9 +12,10 @@ and equal table values can be deduplicated reliably.
 
 Digits travel as the truncation integer of numrep (source bit 0 most
 significant).  Each dimension's list of source bits states the digital
-layout once: encoders fold it out of the integer, and decoders OR in the
-mask of the nearest table entry, spread from it at build time, and the
-residual streams' decisions.
+layout once: encoders look its fold up by the integer's bytes
+(layered.FoldTable, with the residual streams as further columns), and
+decoders OR in the mask of the nearest table entry, spread from it at build
+time, and the residual streams' decisions.
 """
 
 import math
@@ -22,7 +23,7 @@ import math
 import numpy as np
 
 from .base import Codec, CodecSpec
-from .layered import build_streams, decode_stream, fold_digits, spread_digits
+from .layered import FoldTable, build_streams, decode_stream, fold_digits, spread_digits
 from .. import numrep
 
 
@@ -86,11 +87,12 @@ class Type1Codec(Codec):
         tables = [self.full_table] * (n - 1) + [self.analog_table]
         self.masks = [spread_digits(t.patterns, len(b), self.m - 1 - b)
                       for t, b in zip(tables, self.bits)]
+        self.fold = FoldTable([(self.m, b, self.w) for b in self.bits])
 
     def encode(self, x):
         x = np.asarray(x, dtype=np.float64)
         d = numrep.unit_fraction_ints(x, self.m)
-        s = np.stack([fold_digits(d, self.m, b, self.w) for b in self.bits], axis=1)
+        s = self.fold(d)
         # Exact residual: q is representable, x - q cancels without rounding.
         q = np.ldexp(d.astype(np.float64), -self.m) - 0.5
         frac = np.ldexp(x - q, self.m)
@@ -135,19 +137,19 @@ class Type2Codec(Codec):
         # Bit i of dimension j is source bit i*n + j.
         self.bits = [np.arange(k) * n + j for j in range(n)]
         self.masks = [spread_digits(self.table.patterns, k, p - 1 - b) for b in self.bits]
+        # Residual source bit b is bit m + b of u, the b-th of its last p - m digits.
+        self.fold = FoldTable([(p, b, self.w) for b in self.bits]
+                              + [(p - self.m, s.data_bits, s.data_weights)
+                                 for s in self.streams])
         # Decoding against segment midpoints makes the digital decision match
         # the joint nearest point: all segments of a dimension share one span.
         self.centers = [self.table.values + 0.5 * self.seg * s.max_value
                         for s in self.streams]
 
     def encode(self, x):
-        p = self.spec.p
-        u = numrep.unit_fraction_ints(np.asarray(x, dtype=np.float64), p)
-        digital = np.stack([fold_digits(u, p, b, self.w) for b in self.bits], axis=1)
-        # Residual source bit b is bit m + b of u, the b-th of its last p - m digits.
-        residual = np.stack([fold_digits(u, p - self.m, s.data_bits, s.data_weights)
-                             for s in self.streams], axis=1)
-        return digital + self.seg * residual
+        s = self.fold(numrep.unit_fraction_ints(np.asarray(x, dtype=np.float64), self.spec.p))
+        n = self.spec.n
+        return s[:, :n] + self.seg * s[:, n:]
 
     def decode(self, y, sigma=0.0):
         y = np.asarray(y, dtype=np.float64)

@@ -24,9 +24,10 @@ a slightly different protection profile at the same asymptotic cost.
 
 The digit format shared by every digit-stream code is the truncation integer
 u of numrep.unit_fraction_ints: p digits, source bit 0 the most significant.
-Encoders read slots out of u by shifts; decoders OR their digit decisions
-back into u, as masks spread once per table (spread_digits), and reconstruct
-the cell midpoint from it.
+Encoders look up the fold of each stream's leading digits by the bytes of u
+and fold any later digits in order (FoldTable); decoders OR their digit
+decisions back into u, as masks spread once per table (spread_digits), and
+reconstruct the cell midpoint from it.
 """
 
 import functools
@@ -46,6 +47,9 @@ TABLE_SPAN = 1024.0
 # A digit is tabulated while its subtree gap is at least this many margins of
 # a row inside the constellation, so rows near a cut are rare.
 GAP_MARGINS = 4096.0
+# An encode table holds the folds of a column's leading ENCODE_DIGITS digits
+# at most (2**12 float64 values).
+ENCODE_DIGITS = 12
 
 
 def group_size(index: int, n: int, variant: str) -> int:
@@ -196,15 +200,17 @@ def spread_digits(leaves: np.ndarray, k: int, shifts) -> np.ndarray:
     return out
 
 
-def fold_digits(u: np.ndarray, p: int, bits, weights) -> np.ndarray:
-    """Left fold from 0.0, in slot order, of weights[i] * (source bit bits[i] of u).
+def fold_digits(u: np.ndarray, p: int, bits, weights, out=None) -> np.ndarray:
+    """Left fold, in slot order, of weights[i] * (source bit bits[i] of u),
+    from 0.0 or into out in place.
 
     Source bit b is binary digit p-1-b of u: bit 0 is the most significant of
     u's last p digits.  The fixed order makes the rounding of non-dyadic
     weights (scheme1 with alpha not a power of two) the same on every
     machine; dyadic weights sum exactly in any order.
     """
-    out = np.zeros(np.shape(u))
+    if out is None:
+        out = np.zeros(np.shape(u))
     # Reused buffers: at normalization's 65 536-row chunks, fresh temporaries
     # for every slot cost about three times the arithmetic itself.
     digit = np.empty_like(u)
@@ -215,6 +221,64 @@ def fold_digits(u: np.ndarray, p: int, bits, weights) -> np.ndarray:
         np.multiply(digit, w, out=term)
         out += term
     return out
+
+
+class FoldTable:
+    """fold_digits of several columns of one truncation integer u, the
+    leading digits of each column by one table lookup.
+
+    Column c is fold_digits' (p, bits, weights) over u.  Its first k <=
+    ENCODE_DIGITS digits, read as a binary number with the first digit most
+    significant, are its leaf, and values[leaf] is their fold from 0.0:
+    exactly what fold_digits holds after k steps, since a zero digit adds
+    +0.0.  Digits past the table continue that fold.  The leaves of all
+    columns sit side by side in one int64 word, the OR over the bytes of u
+    of a 256-entry table per byte that moves the byte's digits into their
+    leaf fields.  The columns of a code take distinct digits of u, at most
+    52, so their leaves fit the word's 63 non-sign bits.
+    """
+
+    def __init__(self, columns):
+        self.columns = [(p, np.asarray(bits, dtype=np.int64),
+                         np.asarray(weights, dtype=np.float64)[:len(bits)])
+                        for p, bits, weights in columns]
+
+    @functools.cached_property
+    def tables(self) -> tuple[list, list]:
+        """Built on first encode: per column (offset, leaf mask, values,
+        tail (p, bits, weights)), and the (byte index, table) pairs."""
+        fields, spread = [], np.zeros((8, 256), dtype=np.int64)
+        byte = np.arange(256, dtype=np.int64)
+        offset = 0
+        for p, bits, weights in self.columns:
+            k = min(len(bits), ENCODE_DIGITS)
+            if offset + k > 63:
+                raise ValueError("leaf fields exceed 63 bits")
+            for i, shift in enumerate(p - 1 - bits[:k]):
+                spread[shift // 8] |= ((byte >> (shift % 8)) & 1) << (offset + k - 1 - i)
+            values = fold_digits(np.arange(1 << k, dtype=np.int64), k, range(k), weights[:k])
+            fields.append((offset, (1 << k) - 1, values, (p, bits[k:], weights[k:])))
+            offset += k
+        return fields, [(j, table) for j, table in enumerate(spread) if table.any()]
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """(rows, columns) folds of u's digits, bit for bit fold_digits'."""
+        fields, tables = self.tables
+        # Little-endian bytes, so byte j holds u's bits 8j..8j+7 on any host.
+        octets = np.ascontiguousarray(u, dtype="<i8").view(np.uint8).reshape(-1, 8)
+        word = np.zeros(len(octets), dtype=np.int64)
+        for j, table in tables:
+            word |= table.take(octets[:, j])
+        out = np.empty((len(octets), len(fields)))
+        leaf = np.empty_like(word)
+        for c, (offset, mask, values, (p, bits, weights)) in enumerate(fields):
+            np.right_shift(word, offset, out=leaf)
+            leaf &= mask
+            column = values.take(leaf)
+            if len(bits):
+                fold_digits(u, p, bits, weights, out=column)
+            out[:, c] = column
+        return out
 
 
 def greedy_stream_decode(r: np.ndarray, stream: DigitStream, u: np.ndarray) -> None:
@@ -297,12 +361,10 @@ class StreamCodec(Codec):
     def __init__(self, spec: CodecSpec, streams: list[DigitStream]):
         super().__init__(spec)
         self.streams = streams
+        self.fold = FoldTable([(spec.p, s.data_bits, s.data_weights) for s in streams])
 
     def encode(self, x):
-        p = self.spec.p
-        u = numrep.unit_fraction_ints(np.asarray(x, dtype=np.float64), p)
-        return np.stack([fold_digits(u, p, s.data_bits, s.data_weights)
-                         for s in self.streams], axis=1)
+        return self.fold(numrep.unit_fraction_ints(np.asarray(x, dtype=np.float64), self.spec.p))
 
     def decode(self, y, sigma=0.0):
         y = np.asarray(y, dtype=np.float64)

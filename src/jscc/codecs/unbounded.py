@@ -6,7 +6,8 @@ unit interval; after recentering them the integer part is added onto the
 first channel dimension, so that coordinate leaks at most half a unit around
 the integer.  Decoding enumerates the few integer offsets consistent with the
 first received coordinate and keeps the candidate whose re-encoding lands
-closest to the full received vector.
+closest to the full received vector.  Offsets stay within +-2**52, so an
+infinite or huge first coordinate decodes to the nearest end of that range.
 """
 
 import numpy as np
@@ -15,6 +16,8 @@ from .base import Codec, CodecSpec
 from .. import numrep
 
 INTEGER_SEARCH_SIGMAS = 4.0
+# Integer offsets stay within +-2**52, where float64 and int64 integers agree.
+INTEGER_LIMIT = 2.0 ** 52
 
 
 def integer_search_radius(sigma: float) -> float:
@@ -31,7 +34,7 @@ class UnboundedWrapCodec(Codec):
         x = np.asarray(x, dtype=np.float64)
         x1, x2 = numrep.split_integer_array(x)
         s = self.inner.encode(x2)
-        s = s - 0.5
+        s -= 0.5
         s[:, 0] += x1
         return s
 
@@ -39,8 +42,11 @@ class UnboundedWrapCodec(Codec):
         y = np.asarray(y, dtype=np.float64)
         radius = integer_search_radius(sigma)
         first = y[:, 0]
-        lo = np.floor(first - radius).astype(np.int64)
-        hi = np.ceil(first + radius).astype(np.int64)
+        # A NaN first coordinate searches around 0, an infinite or huge one
+        # at the nearer end of +-INTEGER_LIMIT.
+        centre = np.nan_to_num(first, nan=0.0)
+        lo = np.floor(np.clip(centre - radius, -INTEGER_LIMIT, INTEGER_LIMIT)).astype(np.int64)
+        hi = np.ceil(np.clip(centre + radius, -INTEGER_LIMIT, INTEGER_LIMIT)).astype(np.int64)
         span = int(np.max(hi - lo)) + 1
         best_x = np.zeros(y.shape[0])
         best_d = np.full(y.shape[0], np.inf)
@@ -54,7 +60,10 @@ class UnboundedWrapCodec(Codec):
             total = cand + frac
             re_enc = self.encode(total)
             d = np.einsum("ij,ij->i", y - re_enc, y - re_enc)
-            take = live & ((d < best_d) | ((d == best_d) & (total < best_x)))
+            # The first candidate is always taken, so a row whose distance is
+            # never finite (an infinite coordinate) keeps the nearest one.
+            take = live & ((d < best_d) | ((d == best_d) & (total < best_x)) | (off == 0))
             best_d = np.where(take, d, best_d)
             best_x = np.where(take, total, best_x)
-        return best_x
+        # A row with a NaN coordinate tells nothing: it gets the source mean, 0.
+        return np.where(np.isnan(y).any(axis=1), 0.0, best_x)

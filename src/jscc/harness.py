@@ -108,14 +108,19 @@ def _run_batch(codec, noise: channel.NoisePoint, norm: NormalizationRecord,
                batch_index: int) -> tuple:
     rng = channel.batch_rng(noise.master_seed, noise.point_index, batch_index)
     x = numrep.draw_source(codec.spec.source_kind, rng, BATCH_SIZE)
+    # encode and awgn return new arrays, rescaled here in place with the
+    # same roundings as (s - mean) / root_p and y * root_p + mean.
     s = codec.encode(x)
     root_p = math.sqrt(norm.power)
     mean = np.asarray(norm.mean)
-    s_unit = (s - mean) / root_p
-    y_unit = channel.awgn(s_unit, noise.sigma, rng)
-    y = y_unit * root_p + mean
+    s -= mean
+    s /= root_p
+    y = channel.awgn(s, noise.sigma, rng)
+    y *= root_p
+    y += mean
     xh = codec.decode(y, noise.sigma * root_p)
-    e2 = np.square(xh - x)
+    e2 = np.subtract(xh, x)
+    np.square(e2, out=e2)
     # fsum keeps tiny squared errors (down to ~1e-29) from vanishing
     return math.fsum(e2.tolist()), math.fsum(np.square(e2).tolist())
 

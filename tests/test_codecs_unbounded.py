@@ -1,5 +1,7 @@
 """Tests for the integer-plus-fraction wrapper around the layered codec."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -78,3 +80,23 @@ def test_inner_mismatch_rejected():
     with pytest.raises(ValueError):
         CodecSpec("unbounded_wrap", n=2,
                   inner=CodecSpec("scheme1", n=2, alpha=3.0))
+
+
+def test_decode_of_extreme_rows_stays_on_their_side():
+    # An infinite or huge first coordinate once went through an int64 cast
+    # to INT64_MIN, and the row decoded to -9.22e18 with a RuntimeWarning.
+    c = make(2)
+    rng = np.random.default_rng(23)
+    x = rng.normal(0.0, 1.0, 200)
+    y = c.encode(x) + 0.01 * rng.standard_normal((x.size, 2))
+    extreme = np.array([[np.inf, 0.1], [1e30, 0.2], [2.0 ** 63, 0.3], [1e300, np.inf],
+                        [-np.inf, 0.1], [-1e30, 0.2], [np.nan, 0.1], [0.4, np.nan]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = c.decode(y, sigma=0.01)
+        got = c.decode(np.concatenate([y, extreme]), sigma=0.01)
+    assert got[:x.size].tobytes() == want.tobytes()
+    high, low, nan = got[x.size:x.size + 4], got[x.size + 4:x.size + 6], got[x.size + 6:]
+    assert np.all(high >= 2.0 ** 52 - 1)
+    assert np.all(low <= -2.0 ** 52 + 1)
+    assert np.array_equal(nan, [0.0, 0.0])

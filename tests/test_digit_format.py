@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from jscc.codecs import CodecSpec, build_codec
 from jscc.codecs.hybrid import protection_weights
+from jscc.codecs.layered import fold_digits
+from jscc.numrep import DEFAULT_PRECISION
 
 unit_floats = st.floats(min_value=-0.5, max_value=0.5, exclude_max=True,
                         allow_nan=False, allow_infinity=False)
@@ -68,10 +70,24 @@ FOLD_SPECS = [
     CodecSpec("type1", n=4, k=5),
     CodecSpec("type2", n=2, k=4),
     CodecSpec("type2", n=3, k=2, grouping_variant="shifted"),
+    # Edges of the table encoder: p not a multiple of 8, all 7 bytes of u
+    # (p=52), and columns longer than its 12 digits (scheme1 alpha=8's 24;
+    # type2 k=2's residual streams).
+    CodecSpec("scheme1", n=3, alpha=3.0, p=13),
+    CodecSpec("type2", n=2, k=3, p=21),
+    CodecSpec("scheme1", n=2, alpha=3.0, p=52),
+    CodecSpec("scheme2", n=3, p=52),
+    CodecSpec("type1", n=3, k=5, p=52),
+    CodecSpec("scheme1", n=2, alpha=8.0),
+    CodecSpec("type2", n=2, k=2),
 ]
 
 
-@pytest.mark.parametrize("spec", FOLD_SPECS, ids=lambda s: s.describe())
+def spec_id(spec):
+    return spec.describe() + (f" p={spec.p}" if spec.p != DEFAULT_PRECISION else "")
+
+
+@pytest.mark.parametrize("spec", FOLD_SPECS, ids=spec_id)
 @given(xs=st.lists(unit_floats, min_size=1, max_size=16))
 @settings(max_examples=60, deadline=None)
 def test_encode_is_the_slot_order_fold(spec, xs):
@@ -79,6 +95,28 @@ def test_encode_is_the_slot_order_fold(spec, xs):
     got = codec.encode(np.asarray(xs))
     want = np.array([oracle_encode(codec, x) for x in xs])
     assert got.tobytes() == want.tobytes()
+
+
+def fold_columns(codec):
+    """Digit count of the codec's truncation integer, and fold_digits'
+    (p, bits, weights) for each output column its encode folds."""
+    spec = codec.spec
+    if spec.scheme in ("scheme1", "scheme2"):
+        return spec.p, [(spec.p, s.data_bits, s.data_weights) for s in codec.streams]
+    if spec.scheme == "type1":
+        return codec.m, [(codec.m, b, codec.w) for b in codec.bits]
+    return spec.p, ([(spec.p, b, codec.w) for b in codec.bits]
+                    + [(spec.p - codec.m, s.data_bits, s.data_weights) for s in codec.streams])
+
+
+@pytest.mark.parametrize("spec", FOLD_SPECS, ids=spec_id)
+def test_table_encoder_is_the_per_digit_fold(spec):
+    codec = build_codec(spec)
+    width, columns = fold_columns(codec)
+    u = np.random.default_rng(65536).integers(0, 1 << width, size=65536, dtype=np.int64)
+    u[:2] = [0, (1 << width) - 1]
+    want = np.stack([fold_digits(u, p, bits, w) for p, bits, w in columns], axis=1)
+    assert codec.fold(u).tobytes() == want.tobytes()
 
 
 PORTABILITY_SCRIPT = """
