@@ -104,6 +104,33 @@ class _Kahan:
         self.total = t
 
 
+def _exact_sum(v: np.ndarray) -> float:
+    """Correctly rounded sum of a float64 vector, equal to math.fsum(v).
+
+    Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1),
+    2008).  r is what is left to sum, v at first.  With sigma a power of two
+    at least 2n * max|r|, q = (r + sigma) - sigma keeps the leading bits of
+    each r_i as a multiple of 2**-53 * sigma, and r - q is exact.  Every
+    partial sum of q stays such a multiple below sigma, so q.sum() is exact
+    in any order.  Each pass shrinks max|r| by at least 2**(52 - k); fsum of
+    the exact level sums rounds their total once.
+    """
+    k = v.size.bit_length() + 1
+    m = float(np.abs(v).max(initial=0.0))
+    if not m < math.ldexp(1.0, 1022 - k):
+        # nan, inf, or sigma would overflow: keep fsum's own result or error
+        return math.fsum(v.tolist())
+    r, parts = v, []
+    while m:
+        sigma = math.ldexp(1.0, math.frexp(m)[1] + k)
+        q = r + sigma
+        q -= sigma
+        parts.append(float(q.sum()))
+        r = r - q
+        m = float(np.abs(r).max())
+    return math.fsum(parts)
+
+
 def _run_batch(codec, noise: channel.NoisePoint, norm: NormalizationRecord,
                batch_index: int) -> tuple:
     rng = channel.batch_rng(noise.master_seed, noise.point_index, batch_index)
@@ -121,8 +148,11 @@ def _run_batch(codec, noise: channel.NoisePoint, norm: NormalizationRecord,
     xh = codec.decode(y, noise.sigma * root_p)
     e2 = np.subtract(xh, x)
     np.square(e2, out=e2)
-    # fsum keeps tiny squared errors (down to ~1e-29) from vanishing
-    return math.fsum(e2.tolist()), math.fsum(np.square(e2).tolist())
+    # Both sums are exact before their one rounding, so tiny squared errors
+    # (down to ~1e-29) never vanish next to large ones, and the result does
+    # not depend on numpy's summation order.  _exact_sum works on the array
+    # itself, with a few whole-array passes, instead of a 4096-item list.
+    return _exact_sum(e2), _exact_sum(np.square(e2))
 
 
 def _moments(sum2: _Kahan, sum4: _Kahan, trials: int) -> tuple:

@@ -43,12 +43,21 @@ def unit_fraction_ints(x: np.ndarray, p: int = DEFAULT_PRECISION) -> np.ndarray:
     _check_precision(p)
     x = np.asarray(x, dtype=np.float64)
     _check_unit_range(x)
-    u = np.floor(np.ldexp(x + 0.5, p)).astype(np.int64)
+    f = x + 0.5
+    np.ldexp(f, p, out=f)
+    np.floor(f, out=f)
+    u = f.astype(np.int64)
     scale = math.ldexp(1.0, -p)
+    # f then holds each boundary u*2**-p - 1/2 in turn, rounded as written.
     # Rounded up across a boundary: represented value would exceed x + 1/2.
-    u = np.where(x < u * scale - 0.5, u - 1, u)
+    f *= scale
+    f -= 0.5
+    np.subtract(u, 1, out=u, where=x < f)
     # Rounded down across a boundary: the next dyadic still fits below x + 1/2.
-    u = np.where(x >= (u + 1) * scale - 0.5, u + 1, u)
+    np.add(u, 1, out=f)
+    f *= scale
+    f -= 0.5
+    np.add(u, 1, out=u, where=x >= f)
     return u
 
 

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from jscc import channel, harness
-from jscc.codecs import CapacityError, CodecSpec, digital_depth_for_sigma
+from jscc import channel, harness, numrep
+from jscc.codecs import (SCHEMES, CapacityError, CodecSpec,
+                         digital_depth_for_sigma, resolve_for_sigma)
 from jscc.harness import SweepPlan, estimate_point, sweep
 
 
@@ -152,3 +154,110 @@ def test_plan_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             SweepPlan(codec=spec, snr_grid_db=(10.0, bad))
+
+
+def _sum_or_error(total, v: np.ndarray):
+    """total(v), or the type of the exception it raises."""
+    try:
+        return total(v)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b and type(a) is type(b)
+
+
+@st.composite
+def nonnegative_vectors(draw, finite=True):
+    """Nonnegative float64 vectors whose values span many binades.
+
+    Hypothesis picks the length, the exponent band and how many entries are
+    zero, subnormal (down to 5e-324) or repeated; numpy fills in the rest
+    from a drawn seed, so vectors of thousands of entries stay cheap.
+    """
+    n = draw(st.one_of(st.integers(1, 5000), st.just(harness.BATCH_SIZE)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    top = draw(st.integers(-1074, 1000 if finite else 1023))
+    span = draw(st.integers(0, 700))
+    v = np.ldexp(1.0 + rng.random(n), rng.integers(max(top - span, -1074), top + 1, n))
+    for fraction, fill in (
+            (draw(st.sampled_from([0.0, 0.1, 0.9])),
+             lambda m: np.zeros(m)),
+            (draw(st.sampled_from([0.0, 0.05, 0.5])),
+             lambda m: rng.integers(1, 2 ** 52, m) * 5e-324),
+            (draw(st.sampled_from([0.0, 0.5])),
+             lambda m: np.full(m, v[0]))):
+        hit = rng.random(n) < fraction
+        v[hit] = fill(int(hit.sum()))
+    return v
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(nonnegative_vectors())
+# After the first level every remainder is negative or zero, so a stopping
+# test on max(r) instead of max|r| would drop the second level.
+@example(np.array([0.0, 1.0 + 13 * 2.0 ** -52]))
+def test_exact_sum_is_fsum_to_the_bit(v):
+    assert harness._exact_sum(v) == math.fsum(v.tolist())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(nonnegative_vectors(finite=False),
+       st.lists(st.sampled_from([math.inf, math.nan, 1.7e308, 9e307, 2.0 ** 1010]),
+                max_size=4))
+# One entry, so k = 2: sigma would be 2**1024 without the guard.
+@example(np.array([2.0 ** 1021]), [])
+def test_exact_sum_matches_fsum_on_inf_nan_and_huge(v, extra):
+    v = np.concatenate([v, extra])
+    assert _same(_sum_or_error(harness._exact_sum, v),
+                 _sum_or_error(lambda a: math.fsum(a.tolist()), v))
+
+
+def _fsum_run_batch(codec, noise, norm, batch_index):
+    """The batch body with one math.fsum per list of errors: the oracle."""
+    rng = channel.batch_rng(noise.master_seed, noise.point_index, batch_index)
+    x = numrep.draw_source(codec.spec.source_kind, rng, harness.BATCH_SIZE)
+    s = codec.encode(x)
+    root_p = math.sqrt(norm.power)
+    mean = np.asarray(norm.mean)
+    s -= mean
+    s /= root_p
+    y = channel.awgn(s, noise.sigma, rng)
+    y *= root_p
+    y += mean
+    xh = codec.decode(y, noise.sigma * root_p)
+    e2 = np.subtract(xh, x)
+    np.square(e2, out=e2)
+    return math.fsum(e2.tolist()), math.fsum(np.square(e2).tolist())
+
+
+_ORACLE_SPECS = {
+    "repetition": CodecSpec(scheme="repetition", n=2),
+    "shift_map": CodecSpec(scheme="shift_map", n=3),
+    "spherical": CodecSpec(scheme="spherical", n=2, a=3),
+    "scheme1": CodecSpec(scheme="scheme1", n=3, alpha=3.0),
+    "scheme2": CodecSpec(scheme="scheme2", n=2),
+    "type1": CodecSpec(scheme="type1", n=2),
+    "type2": CodecSpec(scheme="type2", n=2),
+    "unbounded_wrap": CodecSpec(scheme="unbounded_wrap", n=2),
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_estimate_point_matches_the_fsum_oracle(scheme, monkeypatch):
+    # noisy, middle and clean; unbounded_wrap stays at sigma <= 1, where its
+    # decode, one inner decode per integer offset, stays cheap
+    plan = SweepPlan(codec=_ORACLE_SPECS[scheme], snr_grid_db=(5.0, 30.0, 70.0),
+                     min_trials=8_192, max_trials=8_192, rel_se_target=0.5)
+    for index, snr in enumerate(plan.snr_grid_db):
+        noise = _noise_at(snr, master_seed=1009, point_index=index)
+        codec = harness.cached_codec(resolve_for_sigma(plan.codec, noise.sigma))
+        norm = harness.get_normalization(codec)
+        got = estimate_point(codec, noise, plan, normalization=norm)
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_run_batch", _fsum_run_batch)
+            want = estimate_point(codec, noise, plan, normalization=norm)
+        assert got == want
