@@ -7,9 +7,11 @@ Subcommands:
   dimension  box-counting dimension of a codec's constellation
   stretch    perturbation stretch profile of a codec
 
-`simulate` plans (parses the config, builds every codec), computes every
-output in memory, and only then creates the output directory and writes
-the files, the summary last.  An exit 2 or 3 leaves no directory.
+`simulate` plans (parses the config, builds every codec), measures every
+resolved codec's normalization, computes every output in memory, and only
+then creates the output directory and writes the files, the summary last.
+Normalizations and grid points run as jobs on up to --workers processes
+(harness.run_jobs).  An exit 2 or 3 leaves no directory.
 
 Exit codes: 0 success, 2 configuration problem, 3 capacity limit, 4 I/O.
 """
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import analysis, channel, harness, svgplot
 from .analysis import BOUND_KINDS, BoundSpec
-from .codecs import CapacityError, CodecSpec, resolve_for_sigma
+from .codecs import CapacityError, CodecSpec
 from .harness import SweepPlan
 
 SCHEMA_VERSION = 1
@@ -491,7 +493,14 @@ def _fit_note(job: CurveJob, points) -> str:
 
 
 def _resolve_workers(flag_value) -> int:
-    """--workers, else JSCC_WORKERS, else 1: validated, then only echoed."""
+    """--workers, else JSCC_WORKERS, else 1.
+
+    A run uses this process plus up to n - 1 pool processes, where n is the
+    smallest of this count, the number of jobs and the available CPUs, so a
+    huge count starts no more processes than there are CPUs.  Results never
+    depend on it.  `python -m jscc` and the `jscc` script pin OpenBLAS to one
+    thread per process, so the processes do not oversubscribe the cores.
+    """
     value = flag_value
     if value is None:
         value = _number(os.environ.get("JSCC_WORKERS", 1), int, "JSCC_WORKERS")
@@ -518,20 +527,31 @@ def _load_experiment(args) -> Experiment:
 
 
 def _checked_plan(job: CurveJob, exp: Experiment) -> SweepPlan:
-    """Build a curve's plan and every grid point's codec and normalization,
-    so a bad curve fails before any sweep starts."""
+    """Build a curve's plan and every grid point's codec, so a bad curve
+    fails before any job starts."""
     try:
         plan = SweepPlan(codec=job.spec, snr_grid_db=job.grid,
                          min_trials=exp.min_trials, max_trials=exp.max_trials,
                          rel_se_target=exp.rel_se_target,
                          master_seed=exp.master_seed)
-        for snr in plan.snr_grid_db:
-            sigma = channel.sigma_from_snr_db(snr)
-            codec = harness.cached_codec(resolve_for_sigma(job.spec, sigma))
-            harness.get_normalization(codec)
+        for spec, _ in harness.grid_points(plan):
+            harness.cached_codec(spec)
     except ValueError as exc:
         raise ConfigError(f"curve {job.label!r}: {exc}") from exc
     return plan
+
+
+def _checked_normalizations(curves, plans, workers: int) -> None:
+    """Normalize every resolved spec before any point job starts; a failure
+    exits 2 with the label of the first curve that uses the spec."""
+    first_curve = {}
+    for job, plan in zip(curves, plans):
+        for spec, _ in harness.grid_points(plan):
+            first_curve.setdefault(spec, job.label)
+    try:
+        harness.normalize(first_curve, workers)
+    except harness.NormalizationError as exc:
+        raise ConfigError(f"curve {first_curve[exc.spec]!r}: {exc}") from exc
 
 
 def _checked_codec(spec: CodecSpec, where: str):
@@ -566,8 +586,8 @@ def _simulate_files(exp: Experiment, plans, check_codecs, workers: int) -> list:
                f"workers {workers}"]
     all_points = {}
     curves_by_label = {c.label: c for c in exp.curves}
-    for job, plan in zip(exp.curves, plans):
-        points = harness.sweep(plan).points
+    for job, curve in zip(exp.curves, harness.sweep_curves(plans, workers)):
+        points = curve.points
         all_points[job.label] = points
         files.append((_safe_name(job.label) + ".csv",
                       _curve_csv(job.label, points)))
@@ -609,6 +629,7 @@ def run_simulate(args) -> int:
     plans = [_checked_plan(job, exp) for job in exp.curves]
     check_codecs = [_checked_codec(job.spec, f"dimension check {job.label!r}")
                     for job in exp.dimension_checks]
+    _checked_normalizations(exp.curves, plans, workers)
     files = _simulate_files(exp, plans, check_codecs, workers)
     os.makedirs(args.out, exist_ok=True)
     for name, text in files:
@@ -699,9 +720,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the master seed")
     sim.add_argument("--out", default=".", help="output directory")
     sim.add_argument("--workers", type=int, default=None,
-                     help="accepted for compatibility and echoed in the "
-                          "summary; runs are serial and results do not "
-                          "depend on it (default: JSCC_WORKERS or 1)")
+                     help="processes to run normalizations and grid points "
+                          "on: this one plus up to N-1 more, capped by the "
+                          "jobs and available CPUs; results do not depend "
+                          "on it (default: JSCC_WORKERS or 1)")
     sim.set_defaults(func=run_simulate)
 
     bnd = sub.add_parser("bounds", help="tabulate a reference curve")

@@ -9,11 +9,19 @@ The transmitted signal is normalized to zero mean and unit average power
 using a measured per-codec record; decoding happens back in the raw
 constellation coordinates, where the effective noise level is the channel
 sigma scaled by the measured power root.
+
+A sweep is two job lists, both made here after every codec is built: one
+normalization per distinct resolved spec, then one point per (curve, grid
+point).  `run_jobs` runs each list in this process and up to workers - 1
+pool processes and merges the results in job order, so no number depends
+on the worker count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +42,17 @@ def cached_codec(spec: CodecSpec):
         codec = build_codec(spec)
         _codec_cache[spec] = codec
     return codec
+
+
+class NormalizationError(ValueError):
+    """measure_normalization failed; args are (spec, message)."""
+
+    @property
+    def spec(self) -> CodecSpec:
+        return self.args[0]
+
+    def __str__(self) -> str:
+        return self.args[1]
 
 
 def get_normalization(codec) -> NormalizationRecord:
@@ -197,18 +216,113 @@ def estimate_point(codec, noise: channel.NoisePoint, plan: SweepPlan, *,
     )
 
 
-def sweep(plan: SweepPlan) -> SdrCurve:
-    """Run estimate_point across the plan's grid, resolving families per point."""
-    points, resolved, norms = [], [], []
+def grid_points(plan: SweepPlan) -> list:
+    """(resolved spec, noise point) of each grid point, in grid order."""
+    points = []
     for index, snr in enumerate(plan.snr_grid_db):
         sigma = channel.sigma_from_snr_db(snr)
-        spec = resolve_for_sigma(plan.codec, sigma)
-        codec = cached_codec(spec)
-        norm = get_normalization(codec)
-        noise = channel.NoisePoint(sigma=sigma, snr_db=snr,
-                                   master_seed=plan.master_seed, point_index=index)
-        points.append(estimate_point(codec, noise, plan, normalization=norm))
-        resolved.append(spec)
-        norms.append(norm)
-    return SdrCurve(plan=plan, points=tuple(points),
-                    resolved=tuple(resolved), normalizations=tuple(norms))
+        points.append((resolve_for_sigma(plan.codec, sigma),
+                       channel.NoisePoint(sigma=sigma, snr_db=snr,
+                                          master_seed=plan.master_seed,
+                                          point_index=index)))
+    return points
+
+
+# Jobs are module-level functions, so a pool pickles them by name.
+
+def normalization_job(spec: CodecSpec) -> NormalizationRecord:
+    """Job: the measured normalization of one resolved spec."""
+    try:
+        return measure_normalization(cached_codec(spec))
+    except ValueError as exc:
+        raise NormalizationError(spec, str(exc)) from exc
+
+
+def point_job(spec: CodecSpec, noise: channel.NoisePoint, plan: SweepPlan,
+              normalization: NormalizationRecord) -> SdrPoint:
+    """Job: the estimate of one grid point."""
+    return estimate_point(cached_codec(spec), noise, plan,
+                          normalization=normalization)
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def run_jobs(fn, jobs: list, workers: int) -> list:
+    """[fn(*job) for job in jobs], on up to `workers` processes.
+
+    n = min(workers, len(jobs), available CPUs).  With n <= 1 the jobs run
+    here, in order.  Otherwise n - 1 pool processes take jobs from the front
+    of the list while this process takes them from the back, cancelling
+    each one the pool has not started, until the two meet.  Forked workers
+    inherit the built codecs; spawned ones rebuild them.  If jobs raise, the
+    error of the first in job order is raised, as in the serial loop, and
+    every job not yet started is cancelled.
+    """
+    n = min(workers, len(jobs), _available_cpus())
+    if n <= 1:
+        return [fn(*job) for job in jobs]
+    # Imported here, so that serial runs never load the pool's modules.
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(n - 1)
+    try:
+        pending = [pool.submit(fn, *job) for job in jobs]
+        results = [None] * len(jobs)
+        ours = len(jobs)  # jobs[ours:] run in this process
+        error = None
+        while ours and pending[ours - 1].cancel():
+            ours -= 1
+            try:
+                results[ours] = fn(*jobs[ours])
+            except Exception as exc:
+                error = exc  # the pool still runs every job before it
+                break
+        for index in range(ours):
+            results[index] = pending[index].result()
+        if error is not None:
+            raise error
+        return results
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def normalize(specs, workers: int) -> None:
+    """Measure, as jobs, each distinct spec's normalization not yet cached.
+
+    A failure raises NormalizationError naming the first failing spec.
+    """
+    todo = [spec for spec in dict.fromkeys(specs)
+            if spec not in _normalization_cache]
+    records = run_jobs(normalization_job, [(spec,) for spec in todo], workers)
+    _normalization_cache.update(zip(todo, records))
+
+
+def sweep_curves(plans, workers: int) -> list:
+    """Each plan's curve: build every codec, normalize every distinct spec,
+    then run one point job per (plan, grid point) across all plans."""
+    grids = [grid_points(plan) for plan in plans]
+    specs = [spec for grid in grids for spec, _ in grid]
+    for spec in specs:
+        cached_codec(spec)
+    normalize(specs, workers)
+    jobs = [(spec, noise, plan, _normalization_cache[spec])
+            for plan, grid in zip(plans, grids) for spec, noise in grid]
+    results = iter(run_jobs(point_job, jobs, workers))
+    curves = []
+    for plan, grid in zip(plans, grids):
+        resolved = tuple(spec for spec, _ in grid)
+        curves.append(SdrCurve(
+            plan=plan, points=tuple(itertools.islice(results, len(grid))),
+            resolved=resolved,
+            normalizations=tuple(_normalization_cache[s] for s in resolved)))
+    return curves
+
+
+def sweep(plan: SweepPlan) -> SdrCurve:
+    """One plan's curve, computed serially; see sweep_curves."""
+    return sweep_curves([plan], 1)[0]

@@ -1,5 +1,7 @@
+import concurrent.futures
 import json
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -273,26 +275,162 @@ def test_simulate_worker_count_invariance(tmp_path):
     assert (out1 / "rep.csv").read_bytes() == (out2 / "rep.csv").read_bytes()
 
 
-def test_simulate_computes_no_batch_it_does_not_use(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_computes_no_batch_it_does_not_use(tmp_path, monkeypatch,
+                                                    workers):
     data = _tiny_config()
     data["snr_grid_db"] = [10.0, 15.0, 20.0]
     data["sweep"] = {"min_trials": 12288, "max_trials": 40960,
                      "rel_se_target": 0.5}
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps(data))
-    calls = []
+    log = tmp_path / "batches.log"
     real = channel.batch_rng
 
     def counting(*key):
-        calls.append(key)
+        # A file, not a list: forked pool workers inherit this patch, and
+        # their calls must be counted too.
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{key}\n")
         return real(*key)
 
     monkeypatch.setattr(channel, "batch_rng", counting)
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
-                     "--workers", "2"]) == 0
+                     "--workers", workers]) == 0
+    calls = log.read_text(encoding="utf-8").splitlines()
     used = sum(p.trials for _, p in read_curve_csv(str(out / "rep.csv")))
     assert len(calls) == used // harness.BATCH_SIZE
+    assert multiprocessing.active_children() == []
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the process count asked
+    for and runs each job as it is submitted, starting no process."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+@pytest.mark.parametrize("cpus", [None, 64])
+def test_huge_worker_count_asks_for_no_more_processes_than_jobs_or_cpus(
+        tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(_InlinePool, "requested", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    if cpus is not None:
+        monkeypatch.setattr(harness, "_available_cpus", lambda: cpus)
+    data = _tiny_config()
+    data["snr_grid_db"] = [10.0, 15.0, 20.0]
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(data))
+    assert cli.main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "flag"),
+                     "--workers", "1000000"]) == 0
+    monkeypatch.setenv("JSCC_WORKERS", "1000000")
+    assert cli.main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "env")]) == 0
+    bound = min(3, harness._available_cpus()) - 1
+    assert all(n <= bound for n in _InlinePool.requested)
+    # Both runs reach the pool whenever the bound leaves room for one.
+    assert len(_InlinePool.requested) == (2 if bound >= 1 else 0)
+    assert ((tmp_path / "flag" / "rep.csv").read_bytes()
+            == (tmp_path / "env" / "rep.csv").read_bytes())
+    assert multiprocessing.active_children() == []
+
+
+def _mixed_config():
+    """Three curves whose jobs cover a pool: an auto-resolved shift map (a
+    spec per point), a spherical code, and a repetition code whose points
+    share one spec."""
+    return {
+        "schema_version": 1,
+        "name": "mixed",
+        "master_seed": 5,
+        "sweep": {"min_trials": 4096, "max_trials": 8192,
+                  "rel_se_target": 0.5},
+        "curves": [
+            {"label": "shift auto", "codec": {"scheme": "shift_map", "n": 3},
+             "snr_grid_db": [20.0, 30.0, 40.0]},
+            {"label": "sphere", "codec": {"scheme": "spherical", "n": 2,
+                                          "a": 3},
+             "snr_grid_db": [10.0, 20.0]},
+            {"label": "rep", "codec": {"scheme": "repetition", "n": 2},
+             "snr_grid_db": [5.0, 10.0, 15.0]},
+        ],
+    }
+
+
+def test_pool_and_serial_runs_write_identical_csvs(tmp_path, monkeypatch):
+    cfg = tmp_path / "mixed.json"
+    cfg.write_text(json.dumps(_mixed_config()))
+    csvs = {}
+    for workers in ("1", "2"):
+        # Measure every normalization again, so the pool runs those jobs too.
+        monkeypatch.setattr(harness, "_normalization_cache", {})
+        out = tmp_path / f"w{workers}"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--workers", workers]) == 0
+        csvs[workers] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+    assert sorted(csvs["1"]) == ["rep.csv", "shift_auto.csv", "sphere.csv"]
+    assert csvs["1"] == csvs["2"]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("failing,label", [
+    ({"spherical"}, "sphere"),
+    ({"shift_map"}, "shift auto"),
+    ({"repetition"}, "rep"),
+    ({"shift_map", "repetition"}, "shift auto"),
+], ids=["sphere", "shift", "rep", "shift-and-rep"])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_normalization_failure_exits_2_naming_the_first_curve_that_fails(
+        tmp_path, monkeypatch, capsys, workers, failing, label):
+    monkeypatch.setattr(harness, "_normalization_cache", {})
+    real = harness.measure_normalization
+
+    def measure(codec):
+        if codec.spec.scheme in failing:
+            raise ValueError("no spread")
+        return real(codec)
+
+    monkeypatch.setattr(harness, "measure_normalization", measure)
+    cfg = tmp_path / "mixed.json"
+    cfg.write_text(json.dumps(_mixed_config()))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--workers", workers]) == 2
+    assert capsys.readouterr().err == f"config error: curve {label!r}: no spread\n"
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failing_point_job_stops_the_pool(tmp_path, monkeypatch):
+    real = harness.estimate_point
+
+    def estimate(codec, noise, plan, **kwargs):
+        if codec.spec.scheme == "spherical":
+            raise RuntimeError("decoder fault")
+        return real(codec, noise, plan, **kwargs)
+
+    monkeypatch.setattr(harness, "estimate_point", estimate)
+    cfg = tmp_path / "mixed.json"
+    cfg.write_text(json.dumps(_mixed_config()))
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="decoder fault"):
+        cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                  "--workers", "2"])
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_simulate_seed_override_changes_output(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -261,3 +262,40 @@ def test_estimate_point_matches_the_fsum_oracle(scheme, monkeypatch):
             m.setattr(harness, "_run_batch", _fsum_run_batch)
             want = estimate_point(codec, noise, plan, normalization=norm)
         assert got == want
+
+
+def _square_unless_bad(i, bad):
+    if i in bad:
+        raise ValueError(f"job {i}")
+    return i * i
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_jobs_returns_results_in_job_order(workers):
+    jobs = [(i, ()) for i in range(7)]
+    assert harness.run_jobs(_square_unless_bad, jobs, workers) == \
+        [i * i for i in range(7)]
+    assert harness.run_jobs(_square_unless_bad, [], workers) == []
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("bad", [(0,), (6,), (2, 5), (5, 6)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_jobs_raises_the_first_failure_in_job_order(workers, bad):
+    # The pool takes jobs from the front and this process from the back, so
+    # these cover a failure on either side and on both.
+    jobs = [(i, bad) for i in range(7)]
+    with pytest.raises(ValueError, match=f"^job {min(bad)}$"):
+        harness.run_jobs(_square_unless_bad, jobs, workers)
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_curves_match_one_sweep_per_plan():
+    plans = [SweepPlan(codec=CodecSpec(scheme="type1", n=2),
+                       snr_grid_db=(15.0, 27.0), min_trials=4_096,
+                       max_trials=8_192, rel_se_target=0.5),
+             SweepPlan(codec=CodecSpec(scheme="repetition", n=2),
+                       snr_grid_db=(10.0,), min_trials=4_096,
+                       max_trials=8_192, rel_se_target=0.5)]
+    assert harness.sweep_curves(plans, workers=2) == [sweep(p) for p in plans]
+    assert multiprocessing.active_children() == []
