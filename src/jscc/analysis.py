@@ -76,6 +76,10 @@ class BoundSpec:
     def __post_init__(self):
         if self.kind not in BOUND_KINDS:
             raise ValueError(f"unknown curve kind {self.kind!r}")
+        for name in ("n", "alpha", "m", "scale", "rate"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         # Each check is written so that NaN fails it: every comparison with
         # NaN is False.
         if not 1 <= self.n < math.inf:

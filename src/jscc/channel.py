@@ -17,8 +17,15 @@ class NoisePoint:
 
 
 def sigma_from_snr_db(snr_db: float) -> float:
-    """Per-dimension noise std for unit transmit power: 10**(-snr_db/20)."""
-    return 10.0 ** (-snr_db / 20.0)
+    """Per-dimension noise std for unit transmit power: 10**(-snr_db/20).
+
+    A level past the float64 range is a ValueError.
+    """
+    try:
+        return 10.0 ** (-snr_db / 20.0)
+    except OverflowError:
+        raise ValueError(f"snr {snr_db!r} dB puts the noise level past "
+                         "the float64 range") from None
 
 
 def snr_db_from_sigma(sigma: float) -> float:

@@ -7,11 +7,11 @@ Subcommands:
   dimension  box-counting dimension of a codec's constellation
   stretch    perturbation stretch profile of a codec
 
-`simulate` plans (parses the config, builds every codec), measures every
-resolved codec's normalization, computes every output in memory, and only
-then creates the output directory and writes the files, the summary last.
-Normalizations and grid points run as jobs on up to --workers processes
-(harness.run_jobs).  An exit 2 or 3 leaves no directory.
+`simulate` plans the curves (parses the config, builds every grid point's
+codec), builds and box-counts each dimension check, runs the sweeps
+(harness.sweep_curves, as jobs on up to --workers processes), renders every
+output in memory, and only then creates the output directory and writes the
+files, the summary last.  An exit 2 or 3 leaves no directory.
 
 Exit codes: 0 success, 2 configuration problem, 3 capacity limit, 4 I/O.
 """
@@ -100,11 +100,12 @@ def _require(cond: bool, message: str):
 
 
 def _number(value, kind, where: str):
-    """kind(value) for kind int or float; a bad value, or a float with a
-    fractional part where an int is wanted, is a ConfigError."""
+    """kind(value) for kind int or float; a bad value, a bool, or a float
+    with a fractional part where an int is wanted, is a ConfigError."""
     noun = "an integer" if kind is int else "a number"
     try:
-        if kind is int and isinstance(value, float) and not value.is_integer():
+        if isinstance(value, bool) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
             raise ValueError(value)
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -158,8 +159,9 @@ def _overlay_from_dict(data, where: str) -> OverlayJob:
                  f"set anchor to a curve label")
         _require("scale" not in data,
                  f"{where}: an anchored overlay fits its own scale; drop scale")
-    label = data.get("label") or spec.describe()
-    return OverlayJob(label=str(label), spec=spec, anchor=anchor)
+    label = data.get("label")
+    label = spec.describe() if label is None else _check_label(label, where)
+    return OverlayJob(label=label, spec=spec, anchor=anchor)
 
 
 def _check_label(label, where: str) -> str:
@@ -189,7 +191,8 @@ def parse_config(data) -> Experiment:
     _object(data, "", ("schema_version", "name", "title", "master_seed",
                        "snr_grid_db", "sweep", "curves", "overlays",
                        "dimension_checks"), "top-level")
-    _require(data.get("schema_version") == SCHEMA_VERSION,
+    version = data.get("schema_version")
+    _require(not isinstance(version, bool) and version == SCHEMA_VERSION,
              f"schema_version must be {SCHEMA_VERSION}")
     name = data.get("name", "experiment")
     _check_label(name, "name")
@@ -541,19 +544,6 @@ def _checked_plan(job: CurveJob, exp: Experiment) -> SweepPlan:
     return plan
 
 
-def _checked_normalizations(curves, plans, workers: int) -> None:
-    """Normalize every resolved spec before any point job starts; a failure
-    exits 2 with the label of the first curve that uses the spec."""
-    first_curve = {}
-    for job, plan in zip(curves, plans):
-        for spec, _ in harness.grid_points(plan):
-            first_curve.setdefault(spec, job.label)
-    try:
-        harness.normalize(first_curve, workers)
-    except harness.NormalizationError as exc:
-        raise ConfigError(f"curve {first_curve[exc.spec]!r}: {exc}") from exc
-
-
 def _checked_codec(spec: CodecSpec, where: str):
     """Build a codec up front, so a bad one fails before any Monte Carlo."""
     try:
@@ -562,8 +552,10 @@ def _checked_codec(spec: CodecSpec, where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _dimension_estimate(job: DimensionJob, codec, master_seed: int, index: int):
-    """Box-count one dimension check; a bad box size or sample exits 2."""
+def _dimension_estimate(job: DimensionJob, master_seed: int, index: int):
+    """Build and box-count one dimension check; a bad codec, box size or
+    sample exits 2 and a cap breach 3."""
+    codec = _checked_codec(job.spec, f"dimension check {job.label!r}")
     rng = channel.derived_rng(master_seed, 0xD1, index)
     try:
         return analysis.boxcount_dimension(
@@ -573,20 +565,15 @@ def _dimension_estimate(job: DimensionJob, codec, master_seed: int, index: int):
         raise ConfigError(f"dimension check {job.label!r}: {exc}") from exc
 
 
-def _simulate_files(exp: Experiment, plans, check_codecs, workers: int) -> list:
+def _simulate_files(exp: Experiment, curves, estimates, workers: int) -> list:
     """Every file of a run as (name, text) pairs, the summary last."""
-    # Box counting draws from its own streams and is cheap, so it goes first:
-    # a check whose boxes cannot be keyed fails before the sweeps run.
-    estimates = [_dimension_estimate(job, codec, exp.master_seed, index)
-                 for index, (job, codec)
-                 in enumerate(zip(exp.dimension_checks, check_codecs))]
     files, series = [], []
     summary = [f"experiment {exp.name}",
                f"seed {exp.master_seed}",
                f"workers {workers}"]
     all_points = {}
     curves_by_label = {c.label: c for c in exp.curves}
-    for job, curve in zip(exp.curves, harness.sweep_curves(plans, workers)):
+    for job, curve in zip(exp.curves, curves):
         points = curve.points
         all_points[job.label] = points
         files.append((_safe_name(job.label) + ".csv",
@@ -627,10 +614,15 @@ def run_simulate(args) -> int:
     exp = _load_experiment(args)
     workers = _resolve_workers(args.workers)
     plans = [_checked_plan(job, exp) for job in exp.curves]
-    check_codecs = [_checked_codec(job.spec, f"dimension check {job.label!r}")
-                    for job in exp.dimension_checks]
-    _checked_normalizations(exp.curves, plans, workers)
-    files = _simulate_files(exp, plans, check_codecs, workers)
+    # Box counting draws from its own streams and is cheap, so it goes
+    # before the sweeps: a check that cannot be counted fails first.
+    estimates = [_dimension_estimate(job, exp.master_seed, index)
+                 for index, job in enumerate(exp.dimension_checks)]
+    try:
+        curves = harness.sweep_curves(plans, workers)
+    except harness.CurveError as exc:
+        raise ConfigError(f"curve {exp.curves[exc.index].label!r}: {exc}") from exc
+    files = _simulate_files(exp, curves, estimates, workers)
     os.makedirs(args.out, exist_ok=True)
     for name, text in files:
         _write(os.path.join(args.out, name), text)
@@ -677,8 +669,7 @@ def run_dimension(args) -> int:
                        epsilons=_floats(args.epsilons, "--epsilons",
                                         DEFAULT_EPSILONS),
                        samples=args.samples)
-    codec = _checked_codec(job.spec, "--codec")
-    est = _dimension_estimate(job, codec, _check_seed(args.seed, "--seed"), 0)
+    est = _dimension_estimate(job, _check_seed(args.seed, "--seed"), 0)
     _write(args.out, _boxcount_csv(est))
     print(f"fitted_dimension {est.fitted_dimension:.4f} "
           f"saturated {int(est.saturated)} residual {est.fit_residual:.4f}")
@@ -720,10 +711,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the master seed")
     sim.add_argument("--out", default=".", help="output directory")
     sim.add_argument("--workers", type=int, default=None,
-                     help="processes to run normalizations and grid points "
-                          "on: this one plus up to N-1 more, capped by the "
-                          "jobs and available CPUs; results do not depend "
-                          "on it (default: JSCC_WORKERS or 1)")
+                     help="processes to run the sweep jobs on: this one "
+                          "plus up to N-1 more, capped by the jobs and "
+                          "available CPUs; results do not depend on it "
+                          "(default: JSCC_WORKERS or 1)")
     sim.set_defaults(func=run_simulate)
 
     bnd = sub.add_parser("bounds", help="tabulate a reference curve")

@@ -31,9 +31,6 @@ _BUILDERS = {
 
 def build_codec(spec: CodecSpec) -> Codec:
     """Instantiate the codec for a fully resolved spec."""
-    if spec.is_family:
-        raise ValueError(
-            f"spec for scheme {spec.scheme!r} needs resolve_for_sigma() first")
     if spec.scheme == "unbounded_wrap":
         return UnboundedWrapCodec(spec, build_codec(spec.inner))
     return _BUILDERS[spec.scheme](spec)

@@ -207,6 +207,14 @@ class Codec:
         return f"<{type(self).__name__} {self.spec.describe()}>"
 
 
+def _keep_best(best_d, best_x, d, x):
+    """Keep, per row, the smaller (distance, source) pair in place; a NaN
+    distance never wins."""
+    take = (d < best_d) | ((d == best_d) & (x < best_x))
+    np.copyto(best_d, d, where=take)
+    np.copyto(best_x, x, where=take)
+
+
 @dataclass(frozen=True)
 class NormalizationRecord:
     """Measured first and second moments of a constellation.

@@ -82,6 +82,10 @@ class Type1Codec(Codec):
         self.seg = math.ldexp(1.0, -(k + 1))
         self.full_table = PatternTable(self.w)
         self.analog_table = PatternTable(self.w[: k - 1])
+        # Segments [v, v + seg) share one length and distinct values v lie
+        # at least 2 seg apart, so the nearest midpoint marks the nearest
+        # segment.
+        self.analog_centers = self.analog_table.values + 0.5 * self.seg
         # Bit i of dimension j is source bit i*n + j; the last dimension has k-1.
         self.bits = [np.arange(k if j < n - 1 else k - 1) * n + j for j in range(n)]
         tables = [self.full_table] * (n - 1) + [self.analog_table]
@@ -105,22 +109,12 @@ class Type1Codec(Codec):
         d = np.zeros(y.shape[0], dtype=np.int64)
         for j in range(n - 1):
             d |= self.masks[j].take(self.full_table.nearest(y[:, j]))
-        frac = self._decode_analog_dim(y[:, n - 1], d)
+        # The last dimension: the nearest point on the union of segments.
+        y_last = y[:, n - 1]
+        sel = self.analog_table.nearest(y_last, self.analog_centers)
+        d |= self.masks[-1].take(sel)
+        frac = np.clip((y_last - self.analog_table.values.take(sel)) / self.seg, 0.0, 1.0)
         return (np.ldexp(d.astype(np.float64), -self.m) - 0.5) + frac * math.ldexp(1.0, -self.m)
-
-    def _decode_analog_dim(self, y, d):
-        """Nearest point on the union of analog segments [v, v + seg)."""
-        vals, pats = self.analog_table.values, self.analog_table.patterns
-        idx = np.searchsorted(vals, y)
-        lo = np.clip(idx - 1, 0, len(vals) - 1)
-        hi = np.clip(idx, 0, len(vals) - 1)
-        t_lo = np.clip((y - vals[lo]) / self.seg, 0.0, 1.0)
-        t_hi = np.clip((y - vals[hi]) / self.seg, 0.0, 1.0)
-        d_lo = np.abs(y - vals[lo] - t_lo * self.seg)
-        d_hi = np.abs(y - vals[hi] - t_hi * self.seg)
-        pick_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (pats[hi] < pats[lo]))
-        d |= self.masks[-1].take(np.where(pick_hi, hi, lo))
-        return np.where(pick_hi, t_hi, t_lo)
 
 
 class Type2Codec(Codec):

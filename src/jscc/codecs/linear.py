@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from .base import Codec, CodecSpec, CapacityError, SEGMENT_CAP, UNIT_ROUNDOFF
+from .base import Codec, CodecSpec, CapacityError, SEGMENT_CAP, UNIT_ROUNDOFF, _keep_best
 
 NEWTON_STEPS = 5
 # Correlations held at once by the spherical grid search.
@@ -178,14 +178,6 @@ class ShiftMapCodec(Codec):
             best_d[r], best_x[r] = bd, bx
             start = stop
         return best_x
-
-
-def _keep_best(best_d, best_x, d, x):
-    """Keep, per row, the smaller (distance, source) pair in place; a NaN
-    distance never wins."""
-    take = (d < best_d) | ((d == best_d) & (x < best_x))
-    np.copyto(best_d, d, where=take)
-    np.copyto(best_x, x, where=take)
 
 
 class SphericalCodec(Codec):

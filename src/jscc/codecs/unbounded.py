@@ -12,7 +12,7 @@ infinite or huge first coordinate decodes to the nearest end of that range.
 
 import numpy as np
 
-from .base import Codec, CodecSpec
+from .base import Codec, CodecSpec, _keep_best
 from .. import numrep
 
 INTEGER_SEARCH_SIGMAS = 4.0
@@ -48,11 +48,8 @@ class UnboundedWrapCodec(Codec):
         lo = np.floor(np.clip(centre - radius, -INTEGER_LIMIT, INTEGER_LIMIT)).astype(np.int64)
         hi = np.ceil(np.clip(centre + radius, -INTEGER_LIMIT, INTEGER_LIMIT)).astype(np.int64)
         span = int(np.max(hi - lo)) + 1
-        best_x = np.zeros(y.shape[0])
-        best_d = np.full(y.shape[0], np.inf)
         for off in range(span):
             cand = lo + off
-            live = cand <= hi
             shifted = y.copy()
             shifted[:, 0] = first - cand
             inner_y = shifted + 0.5
@@ -62,8 +59,10 @@ class UnboundedWrapCodec(Codec):
             d = np.einsum("ij,ij->i", y - re_enc, y - re_enc)
             # The first candidate is always taken, so a row whose distance is
             # never finite (an infinite coordinate) keeps the nearest one.
-            take = live & ((d < best_d) | ((d == best_d) & (total < best_x)) | (off == 0))
-            best_d = np.where(take, d, best_d)
-            best_x = np.where(take, total, best_x)
+            if off == 0:
+                best_d, best_x = d, total
+            else:
+                d[cand > hi] = np.nan  # past the row's window
+                _keep_best(best_d, best_x, d, total)
         # A row with a NaN coordinate tells nothing: it gets the source mean, 0.
         return np.where(np.isnan(y).any(axis=1), 0.0, best_x)

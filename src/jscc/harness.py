@@ -10,11 +10,11 @@ using a measured per-codec record; decoding happens back in the raw
 constellation coordinates, where the effective noise level is the channel
 sigma scaled by the measured power root.
 
-A sweep is two job lists, both made here after every codec is built: one
-normalization per distinct resolved spec, then one point per (curve, grid
-point).  `run_jobs` runs each list in this process and up to workers - 1
-pool processes and merges the results in job order, so no number depends
-on the worker count.
+`sweep_curves` owns a sweep.  It builds every codec, then runs two job
+lists: one normalization per distinct resolved spec, then one point per
+(curve, grid point).  `run_jobs` runs each list in this process and up to
+workers - 1 pool processes and merges the results in job order, so no
+number depends on the worker count.
 """
 
 from __future__ import annotations
@@ -44,11 +44,11 @@ def cached_codec(spec: CodecSpec):
     return codec
 
 
-class NormalizationError(ValueError):
-    """measure_normalization failed; args are (spec, message)."""
+class CurveError(ValueError):
+    """A curve's normalization failed; args are (plan index, message)."""
 
     @property
-    def spec(self) -> CodecSpec:
+    def index(self) -> int:
         return self.args[0]
 
     def __str__(self) -> str:
@@ -230,12 +230,13 @@ def grid_points(plan: SweepPlan) -> list:
 
 # Jobs are module-level functions, so a pool pickles them by name.
 
-def normalization_job(spec: CodecSpec) -> NormalizationRecord:
-    """Job: the measured normalization of one resolved spec."""
+def normalization_job(spec: CodecSpec, index: int) -> NormalizationRecord:
+    """Job: the measured normalization of one resolved spec, which plan
+    `index` is the first to use."""
     try:
         return measure_normalization(cached_codec(spec))
     except ValueError as exc:
-        raise NormalizationError(spec, str(exc)) from exc
+        raise CurveError(index, str(exc)) from exc
 
 
 def point_job(spec: CodecSpec, noise: channel.NoisePoint, plan: SweepPlan,
@@ -291,25 +292,23 @@ def run_jobs(fn, jobs: list, workers: int) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def normalize(specs, workers: int) -> None:
-    """Measure, as jobs, each distinct spec's normalization not yet cached.
-
-    A failure raises NormalizationError naming the first failing spec.
-    """
-    todo = [spec for spec in dict.fromkeys(specs)
-            if spec not in _normalization_cache]
-    records = run_jobs(normalization_job, [(spec,) for spec in todo], workers)
-    _normalization_cache.update(zip(todo, records))
-
-
 def sweep_curves(plans, workers: int) -> list:
     """Each plan's curve: build every codec, normalize every distinct spec,
-    then run one point job per (plan, grid point) across all plans."""
+    then run one point job per (plan, grid point) across all plans.
+
+    A failed normalization raises CurveError naming the first plan that
+    uses the spec; with several, the first spec in plan order.
+    """
     grids = [grid_points(plan) for plan in plans]
-    specs = [spec for grid in grids for spec, _ in grid]
-    for spec in specs:
-        cached_codec(spec)
-    normalize(specs, workers)
+    first_plan = {}
+    for index, grid in enumerate(grids):
+        for spec, _ in grid:
+            cached_codec(spec)
+            first_plan.setdefault(spec, index)
+    todo = [(spec, index) for spec, index in first_plan.items()
+            if spec not in _normalization_cache]
+    records = run_jobs(normalization_job, todo, workers)
+    _normalization_cache.update((spec, rec) for (spec, _), rec in zip(todo, records))
     jobs = [(spec, noise, plan, _normalization_cache[spec])
             for plan, grid in zip(plans, grids) for spec, noise in grid]
     results = iter(run_jobs(point_job, jobs, workers))

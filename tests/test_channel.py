@@ -11,6 +11,8 @@ def test_sigma_snr_round_trip():
     assert channel.sigma_from_snr_db(0.0) == 1.0
     for snr in (-3.0, 0.0, 17.5, 60.0):
         assert channel.snr_db_from_sigma(channel.sigma_from_snr_db(snr)) == pytest.approx(snr)
+    with pytest.raises(ValueError, match="float64 range"):
+        channel.sigma_from_snr_db(-10000.0)
 
 
 def test_sdr_db_values():

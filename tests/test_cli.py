@@ -91,6 +91,7 @@ def test_parse_config_happy_path():
     assert exp.name == "tiny"
     assert exp.curves[0].spec.scheme == "repetition"
     assert exp.overlays[1].anchor == "rep"
+    assert exp.overlays[0].label == "opta_slb n=2"  # no label: the description
     assert exp.min_trials == 4096
 
 
@@ -136,6 +137,28 @@ def test_parse_config_happy_path():
     (_with_check(samples=1000.5), "samples must be an integer"),
     (lambda d: d.update(curves=5), "curves must be a list"),
     (lambda d: d.update(overlays=None), "overlays must be a list"),
+    # JSON true is not the number 1.
+    (lambda d: d.update(schema_version=True), "schema_version must be 1"),
+    (lambda d: d.update(master_seed=True), "master_seed must be an integer, got True"),
+    (lambda d: d["sweep"].update(max_trials=True), "sweep.max_trials must be an integer"),
+    (lambda d: d["sweep"].update(rel_se_target=True),
+     "sweep.rel_se_target must be a number"),
+    (lambda d: d.update(snr_grid_db=[10.0, True]),
+     "snr_grid_db: snr grid entry must be a number, got True"),
+    (lambda d: d["curves"][0].update(fit_window_db=[True, 25.0]),
+     "fit_window_db entry must be a number"),
+    (_with_check(epsilons=[True, 0.1]), "epsilon must be a number, got True"),
+    (_with_check(samples=True), "samples must be an integer, got True"),
+    (lambda d: d["overlays"][0].update(n=True), "overlays[0]: n must be a number"),
+    (lambda d: d["overlays"][0].update(scale=True), "overlays[0]: scale must be a number"),
+    # An overlay label goes through the curve label check.
+    (lambda d: d["overlays"][0].update(label="a\nb"),
+     "overlays[0]: label may not contain commas or newlines"),
+    (lambda d: d["overlays"][1].update(label="a,b"), "overlays[1]: label may not"),
+    (lambda d: d["overlays"][0].update(label=""),
+     "overlays[0]: label must be a non-empty string"),
+    (lambda d: d["overlays"][1].update(label=5),
+     "overlays[1]: label must be a non-empty string"),
 ])
 def test_parse_config_rejections(mutate, fragment):
     data = _tiny_config()
@@ -574,6 +597,17 @@ def test_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as err:
         cli.main(["confabulate"])
     assert err.value.code == 2
+
+
+def test_overflowing_noise_level_exits_2_naming_the_curve(tmp_path, capsys):
+    data = _tiny_config()
+    data["snr_grid_db"] = [-10000.0]  # sigma = 10**500
+    cfg = tmp_path / "loud.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: curve 'rep': ")
+    assert not out.exists()
 
 
 def test_cap_breach_in_a_later_curve_fails_before_any_sweep(tmp_path):

@@ -126,6 +126,56 @@ def test_type1_decode_matches_exhaustive(k):
     np.testing.assert_allclose(got, want, atol=1e-14)
 
 
+def _segment_search(codec, y):
+    """The former type1 last-dimension search, kept as an oracle: the nearest
+    point on the union of analog segments [v, v + seg), looked for on the two
+    segments around y by table value, ties to the smaller pattern.  Returns
+    the table index and the position in the segment, as a fraction of seg."""
+    vals, pats = codec.analog_table.values, codec.analog_table.patterns
+    idx = np.searchsorted(vals, y)
+    lo = np.clip(idx - 1, 0, len(vals) - 1)
+    hi = np.clip(idx, 0, len(vals) - 1)
+    t_lo = np.clip((y - vals[lo]) / codec.seg, 0.0, 1.0)
+    t_hi = np.clip((y - vals[hi]) / codec.seg, 0.0, 1.0)
+    d_lo = np.abs(y - vals[lo] - t_lo * codec.seg)
+    d_hi = np.abs(y - vals[hi] - t_hi * codec.seg)
+    pick_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (pats[hi] < pats[lo]))
+    return np.where(pick_hi, hi, lo), np.where(pick_hi, t_hi, t_lo)
+
+
+def _segment_search_decode(codec, y):
+    """Type1Codec.decode with the last dimension through _segment_search."""
+    y = y + 1.0
+    n = codec.spec.n
+    d = np.zeros(y.shape[0], dtype=np.int64)
+    for j in range(n - 1):
+        d |= codec.masks[j].take(codec.full_table.nearest(y[:, j]))
+    sel, frac = _segment_search(codec, y[:, n - 1])
+    d |= codec.masks[-1].take(sel)
+    return (np.ldexp(d.astype(np.float64), -codec.m) - 0.5) + frac * math.ldexp(1.0, -codec.m)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("k", range(1, 13))
+def test_type1_decode_matches_segment_search_oracle(n, k):
+    c = make("type1", n, k)
+    rng = np.random.default_rng(1000 * n + k)
+    vals = c.analog_table.values
+    ends = vals + c.seg
+    # In the decoder's shifted coordinates: segment ends, centres and the
+    # midpoints of the gaps between segments, all exact in float64 once
+    # shifted back; then each of them one ulp either side.
+    marks = np.concatenate([vals, ends, vals + 0.5 * c.seg,
+                            0.5 * (ends[:-1] + vals[1:])]) - 1.0
+    last = np.concatenate([rng.uniform(-1.2, 1.2, 50_000), marks,
+                           np.nextafter(marks, np.inf), np.nextafter(marks, -np.inf),
+                           [np.inf, -np.inf, np.nan]])
+    y = rng.uniform(-1.2, 1.2, (last.size, n))
+    y[:, -1] = last
+    got, want = c.decode(y), _segment_search_decode(c, y)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_type2_display_at_k1():
     c = make("type2", 2, 1, p=14)
     rng = np.random.default_rng(10)

@@ -100,3 +100,43 @@ def test_decode_of_extreme_rows_stays_on_their_side():
     assert np.all(high >= 2.0 ** 52 - 1)
     assert np.all(low <= -2.0 ** 52 + 1)
     assert np.array_equal(nan, [0.0, 0.0])
+
+
+def _offset_search_decode(c, y, sigma):
+    """The former wrapper decode, kept as an oracle: every offset's candidate
+    scored in one pass with its own tie rule, offset 0 always taken."""
+    radius = integer_search_radius(sigma)
+    first = y[:, 0]
+    centre = np.nan_to_num(first, nan=0.0)
+    lo = np.floor(np.clip(centre - radius, -2.0 ** 52, 2.0 ** 52)).astype(np.int64)
+    hi = np.ceil(np.clip(centre + radius, -2.0 ** 52, 2.0 ** 52)).astype(np.int64)
+    best_x = np.zeros(y.shape[0])
+    best_d = np.full(y.shape[0], np.inf)
+    for off in range(int(np.max(hi - lo)) + 1):
+        cand = lo + off
+        shifted = y.copy()
+        shifted[:, 0] = first - cand
+        total = cand + c.inner.decode(shifted + 0.5, sigma=sigma)
+        re_enc = c.encode(total)
+        d = np.einsum("ij,ij->i", y - re_enc, y - re_enc)
+        take = (cand <= hi) & ((d < best_d) | ((d == best_d) & (total < best_x))
+                               | (off == 0))
+        best_d = np.where(take, d, best_d)
+        best_x = np.where(take, total, best_x)
+    return np.where(np.isnan(y).any(axis=1), 0.0, best_x)
+
+
+@pytest.mark.parametrize("n,sigma", [(2, 0.05), (2, 0.5), (3, 0.2)])
+def test_decode_matches_offset_search_oracle(n, sigma):
+    c = make(n)
+    rng = np.random.default_rng(77 + n)
+    x = rng.normal(0.0, 1.0, 3000)
+    y = c.encode(x) + sigma * rng.standard_normal((x.size, n))
+    # Rows halfway between integers, where two offsets can tie, and extremes.
+    y[:200, 0] = np.round(y[:200, 0]) + 0.5
+    extreme = np.full((4, n), 0.1)
+    extreme[:, 0] = [np.inf, -1e30, np.nan, 0.4]
+    extreme[3, -1] = np.inf
+    y = np.concatenate([y, extreme])
+    got, want = c.decode(y, sigma=sigma), _offset_search_decode(c, y, sigma)
+    assert got.tobytes() == want.tobytes()

@@ -19,13 +19,19 @@ import tempfile
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from jscc import cli
+from jscc import cli, codecs
 
+# One base spec per scheme; the first three are concrete, for the dimension
+# check.
 CODECS = (
     {"scheme": "repetition", "n": 2},
     {"scheme": "shift_map", "n": 2, "a": 3},
     {"scheme": "scheme1", "n": 2, "alpha": 4.0},
     {"scheme": "type1", "n": 2},
+    {"scheme": "spherical", "n": 2, "a": 3},
+    {"scheme": "scheme2", "n": 2},
+    {"scheme": "type2", "n": 2},
+    {"scheme": "unbounded_wrap", "n": 2},
 )
 SNRS = (5.0, 15.0, 25.0, 40.0)
 
@@ -48,6 +54,10 @@ CAP_PATCHES = (
     ("curves", 0, {"snr_grid_db": [3000.0, 3010.0], "fit_window_db": None}),
     ("dimension_checks", 0, {"codec": {"scheme": "shift_map", "n": 3, "a": 2000}}),
 )
+
+
+def test_codecs_cover_every_scheme():
+    assert sorted(c["scheme"] for c in CODECS) == sorted(codecs.SCHEMES)
 
 
 def _slots(node, path=()):
