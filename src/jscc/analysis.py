@@ -210,22 +210,30 @@ def _dense_ranks(parts):
     return np.split(ranks, np.cumsum([len(p) for p in parts[:-1]])), distinct.size
 
 
-def _box_keys(point_sets, lo, hi, eps: float):
+def _box_keys(columns, lo, hi, eps: float):
     """One int64 key per point, equal exactly when two points share a box.
 
-    The grid is anchored at the origin with half-open boxes of side eps.
-    Each column's box index is offset by its minimum over all sets
+    Each set arrives as C-contiguous (d, count) columns, so every pass
+    below reads one contiguous row.  The grid is anchored at the origin
+    with half-open boxes of side eps.  Each column is divided and floored
+    in one scratch buffer, offset by its minimum over all sets
     (floor(lo / eps)) and folded into a mixed-radix key; before the radix
     would pass _KEY_LIMIT the partial key, and if need be the column, is
     replaced by its dense ranks over all sets, which keeps the key exact.
     """
-    keys = [np.zeros(len(p), dtype=np.int64) for p in point_sets]
+    count = columns[0].shape[1]
+    keys = [np.zeros(count, dtype=np.int64) for _ in columns]
+    scaled = np.empty(count)
     radix = 1
     for j in range(lo.size):
         offset = math.floor(lo[j] / eps)
         span = math.floor(hi[j] / eps) - offset + 1
-        cols = [np.floor(p[:, j] / eps).astype(np.int64) - offset
-                for p in point_sets]
+        cols = []
+        for c in columns:
+            np.floor(np.divide(c[j], eps, out=scaled), out=scaled)
+            col = scaled.astype(np.int64)
+            col -= offset
+            cols.append(col)
         if radix * span > _KEY_LIMIT:
             keys, radix = _dense_ranks(keys)
             if radix * span > _KEY_LIMIT:
@@ -237,6 +245,16 @@ def _box_keys(point_sets, lo, hi, eps: float):
     return keys
 
 
+def _distinct_sorted(keys) -> int:
+    """How many distinct values a sorted, non-empty array holds."""
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+
+
+def _columns(points) -> np.ndarray:
+    """A sampler's (count, d) points as C-contiguous float64 (d, count)."""
+    return np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
+
+
 def boxcount_dimension(sampler, epsilons, samples_per_eps: int,
                        rng: np.random.Generator | None = None) -> DimensionEstimate:
     """Box-counting dimension of a sampled point set.
@@ -246,8 +264,11 @@ def boxcount_dimension(sampler, epsilons, samples_per_eps: int,
     again at double that; the estimate is flagged unsaturated if any count
     still moved by 2 percent or more, meaning the sampling was too sparse to
     trust.  Boxes are half-open on a grid anchored at the origin, and each
-    occupied box is counted through one exact int64 key per point; box
-    indices must stay below 2**62 in magnitude.
+    point gets one exact int64 box key (box indices must stay below 2**62
+    in magnitude).  Each set is read as contiguous (d, count) columns.  The
+    first set's count is the number of neighbours that differ in its sorted
+    keys, plus one, and the doubled count the same over the sorted keys of
+    both sets, so no hashing np.unique runs per box size.
     """
     eps = np.asarray(epsilons, dtype=np.float64).ravel()
     if eps.size < 2:
@@ -260,12 +281,12 @@ def boxcount_dimension(sampler, epsilons, samples_per_eps: int,
         raise ValueError("samples_per_eps must be positive")
     if rng is None:
         rng = np.random.default_rng(0x5EED)
-    pts_a = np.asarray(sampler(samples_per_eps, rng), dtype=np.float64)
-    pts_b = np.asarray(sampler(samples_per_eps, rng), dtype=np.float64)
-    if pts_a.ndim != 2 or pts_b.shape != pts_a.shape:
+    cols_a = _columns(sampler(samples_per_eps, rng))
+    cols_b = _columns(sampler(samples_per_eps, rng))
+    if cols_a.ndim != 2 or cols_b.shape != cols_a.shape:
         raise ValueError("sampler must return (count, d) arrays")
-    lo = np.minimum(pts_a.min(axis=0), pts_b.min(axis=0))
-    hi = np.maximum(pts_a.max(axis=0), pts_b.max(axis=0))
+    lo = np.minimum(cols_a.min(axis=1), cols_b.min(axis=1))
+    hi = np.maximum(cols_a.max(axis=1), cols_b.max(axis=1))
     # min and max propagate NaN, and an infinity is an extreme.
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError("sampler returned non-finite points")
@@ -276,10 +297,12 @@ def boxcount_dimension(sampler, epsilons, samples_per_eps: int,
     counts = []
     saturated = True
     for e in eps:
-        keys_a, keys_b = _box_keys((pts_a, pts_b), lo, hi, float(e))
-        boxes_a = np.unique(keys_a)
-        m1 = boxes_a.size
-        m2 = np.unique(np.concatenate([boxes_a, keys_b])).size
+        keys_a, keys_b = _box_keys((cols_a, cols_b), lo, hi, float(e))
+        keys_a.sort()
+        m1 = _distinct_sorted(keys_a)
+        both = np.concatenate([keys_a, keys_b])
+        both.sort()
+        m2 = _distinct_sorted(both)
         if m2 - m1 >= 0.02 * m1:
             saturated = False
         counts.append(m2)

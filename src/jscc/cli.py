@@ -41,6 +41,12 @@ CSV_HEADER = "label,snr_db,sigma,trials,distortion,std_err,sdr_db,capped"
 # Box sizes of a dimension check that names none.
 DEFAULT_EPSILONS = tuple(2.0 ** -e for e in range(4, 13))
 
+# Most samples per set of a dimension check, eight times the presets'
+# 250 000.  Box counting holds two sets of (d, samples) points and their
+# keys, about 2 * samples * (d + 2) * 8 bytes (128 MB at d = 2, 320 MB at
+# d = 8), on top of the encoder's own temporaries.
+MAX_DIMENSION_SAMPLES = 2_000_000
+
 _CODEC_FIELDS = tuple(f.name for f in dataclasses.fields(CodecSpec))
 _BOUND_FIELDS = tuple(f.name for f in dataclasses.fields(BoundSpec))
 _SWEEP_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SweepPlan)}
@@ -124,6 +130,14 @@ def _object(data, where: str, allowed, what: str) -> dict:
 def _check_seed(seed: int, where: str) -> int:
     _require(seed >= 0, f"{where} must be a non-negative integer, got {seed}")
     return seed
+
+
+def _check_samples(samples: int, where: str) -> int:
+    """A dimension check's sample count, refused before anything is drawn."""
+    _require(samples >= 1, f"{where} must be at least 1")
+    _require(samples <= MAX_DIMENSION_SAMPLES,
+             f"{where} must be at most {MAX_DIMENSION_SAMPLES}, got {samples}")
+    return samples
 
 
 def _codec_from_dict(data, where: str) -> CodecSpec:
@@ -249,8 +263,9 @@ def parse_config(data) -> Experiment:
         _require(eps[-1] > 0.0 and math.isfinite(eps[0])
                  and all(a > b for a, b in zip(eps, eps[1:])),
                  f"{where}: epsilons must be positive, finite and strictly decreasing")
-        samples = _number(entry.get("samples", 200_000), int, f"{where}: samples")
-        _require(samples >= 1, f"{where}: samples must be at least 1")
+        samples = _check_samples(
+            _number(entry.get("samples", 200_000), int, f"{where}: samples"),
+            f"{where}: samples")
         dims.append(DimensionJob(label=label, spec=spec, epsilons=eps,
                                  samples=samples))
 
@@ -668,7 +683,7 @@ def run_dimension(args) -> int:
     job = DimensionJob(label="--codec", spec=_codec_from_json(args.codec),
                        epsilons=_floats(args.epsilons, "--epsilons",
                                         DEFAULT_EPSILONS),
-                       samples=args.samples)
+                       samples=_check_samples(args.samples, "--samples"))
     est = _dimension_estimate(job, _check_seed(args.seed, "--seed"), 0)
     _write(args.out, _boxcount_csv(est))
     print(f"fitted_dimension {est.fitted_dimension:.4f} "

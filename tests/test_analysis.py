@@ -403,6 +403,15 @@ _WRAP_KEY = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
 _WRAP_COLUMN = np.vstack([
     np.column_stack([np.arange(513.0), np.full(513, -_EDGE)]),
     [[0.0, _EDGE], [512.0, -_EDGE + 512 * 1023]]])
+# Cases that pin the union count m2 against the first set's count m1.
+_FEW = np.array([[0.1, 0.2], [0.6, 0.3], [0.4, 0.9], [-1.7, 2.2]])
+_FEW_EPS = np.array([1.0, 0.5, 0.25])
+_DISJOINT = (_FEW, _FEW + 5.0, _FEW_EPS)
+_EQUAL = (_FEW, _FEW.copy(), _FEW_EPS)
+_SUBSET = (_FEW, _FEW[[0, 1, 0, 1]], _FEW_EPS)
+_SINGLE = (np.array([[0.3, -0.7]]), np.array([[2.5, 1.0]]), np.array([1.0, 0.1]))
+_ONE_BOX_POOL = 0.5 + 1e-3 * np.random.default_rng(5).random((60, 2))
+_ONE_BOX = (_ONE_BOX_POOL[:30], _ONE_BOX_POOL[30:], np.array([1.0, 0.5]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -410,6 +419,11 @@ _WRAP_COLUMN = np.vstack([
 @example(_WIDE)
 @example((_WRAP_KEY, _WRAP_KEY, np.array([2.0, 1.0])))
 @example((_WRAP_COLUMN, _WRAP_COLUMN, np.array([2.0, 1.0])))
+@example(_DISJOINT)
+@example(_EQUAL)
+@example(_SUBSET)
+@example(_SINGLE)
+@example(_ONE_BOX)
 def test_boxcount_matches_row_unique_oracle(case):
     pts_a, pts_b, eps = case
     assume(np.all(np.diff(eps) < 0.0))
@@ -420,6 +434,33 @@ def test_boxcount_matches_row_unique_oracle(case):
     assert est.saturated == saturated
     x, y = np.log(1.0 / eps), np.log(np.asarray(counts, dtype=np.float64))
     assert est.fitted_dimension == float(np.polyfit(x, y, 1)[0])
+
+
+@pytest.mark.parametrize("layout", [
+    np.asfortranarray,
+    lambda p: np.repeat(p, 2, axis=1)[:, ::2],
+    lambda p: np.repeat(p, 2, axis=0)[::2],
+    lambda p: np.ascontiguousarray(p[::-1])[::-1],
+], ids=["fortran", "strided-columns", "strided-rows", "reversed-rows"])
+def test_boxcount_ignores_the_sampler_memory_layout(layout):
+    eps = 2.0 ** -np.arange(1, 6)
+    seen = []
+
+    def sampler(count, rng):
+        pts = layout(rng.uniform(-1.0, 1.0, (count, 3)))
+        seen.append((pts, pts.copy()))
+        return pts
+
+    def c_ordered(count, rng):
+        return np.ascontiguousarray(rng.uniform(-1.0, 1.0, (count, 3)))
+
+    got = boxcount_dimension(sampler, eps, 3000, rng=np.random.default_rng(4))
+    want = boxcount_dimension(c_ordered, eps, 3000, rng=np.random.default_rng(4))
+    assert got == want
+    # Box counting reads the sampler's points and never writes them.
+    assert not seen[0][0].flags.c_contiguous
+    for pts, before in seen:
+        assert np.array_equal(pts, before)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,8 @@ def test_parse_config_happy_path():
      "overlays[0]: label must be a non-empty string"),
     (lambda d: d["overlays"][1].update(label=5),
      "overlays[1]: label must be a non-empty string"),
+    (_with_check(samples=cli.MAX_DIMENSION_SAMPLES + 1),
+     f"dimension_checks[0]: samples must be at most {cli.MAX_DIMENSION_SAMPLES}"),
 ])
 def test_parse_config_rejections(mutate, fragment):
     data = _tiny_config()
@@ -709,6 +711,27 @@ def test_dimension_command(tmp_path, capsys):
     assert cli.main(["dimension", "--codec", "{bad", "--out", str(out)]) == 2
     assert cli.main(["dimension", "--codec", '{"scheme": "type1", "n": 2}',
                      "--out", str(out)]) == 2  # family needs a resolved k
+
+
+def test_dimension_samples_cap_exits_2_before_drawing(tmp_path, monkeypatch):
+    def no_sampler(codec):
+        raise AssertionError("a sampler was built past the samples cap")
+
+    monkeypatch.setattr(analysis, "constellation_sampler", no_sampler)
+    out = tmp_path / "d.csv"
+    for over in (cli.MAX_DIMENSION_SAMPLES + 1, 10 ** 10):
+        assert cli.main(["dimension", "--codec", '{"scheme": "repetition", "n": 2}',
+                         "--samples", str(over), "--out", str(out)]) == 2
+        data = _tiny_config()
+        _with_check(samples=over)(data)
+        cfg = tmp_path / "over.json"
+        cfg.write_text(json.dumps(data))
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "run")]) == 2
+    assert not out.exists() and not (tmp_path / "run").exists()
+    # The presets' 250 000 samples stay legal.
+    checks = parse_config(cli.PRESETS["dimension-check"]()).dimension_checks
+    assert max(c.samples for c in checks) <= cli.MAX_DIMENSION_SAMPLES
 
 
 def test_stretch_command(tmp_path, capsys):

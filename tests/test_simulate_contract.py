@@ -37,7 +37,8 @@ SNRS = (5.0, 15.0, 25.0, 40.0)
 
 # Values a mutation puts in place of any leaf or container.  Nothing here
 # asks for a large allocation: a count such as samples, n or min_trials
-# only ever gets a small or invalid value.
+# only ever gets a small or invalid value, or one past a cap that is
+# refused before anything is drawn.
 BAD_VALUES = (math.nan, math.inf, -math.inf, "x", "", "mystery", -1, 0, 1.5,
               2.0, 2.5, 1e-300, 3000.0, 1e5, True, None, [], {}, [1.0],
               {"zzz": 1})
@@ -45,14 +46,16 @@ BAD_VALUES = (math.nan, math.inf, -math.inf, "x", "", "mystery", -1, 0, 1.5,
 # Changes of a number that keep its size small.
 NUMBER_CHANGES = (lambda v: v + 0.5, float, lambda v: -v)
 
-# Patches that each breach one codec cap (exit 3) or push an anchored
-# overlay's reference curve below the float range.
+# Patches that each breach one codec cap (exit 3), push an anchored
+# overlay's reference curve below the float range, or ask a dimension check
+# for one sample more than its cap (exit 2).
 CAP_PATCHES = (
     ("curves", 0, {"codec": {"scheme": "type1", "n": 2}, "snr_grid_db": [160.0]}),
     ("curves", 0, {"codec": {"scheme": "type2", "n": 2, "k": 30}}),
     ("curves", 0, {"codec": {"scheme": "shift_map", "n": 3, "a": 2000}}),
     ("curves", 0, {"snr_grid_db": [3000.0, 3010.0], "fit_window_db": None}),
     ("dimension_checks", 0, {"codec": {"scheme": "shift_map", "n": 3, "a": 2000}}),
+    ("dimension_checks", 0, {"samples": cli.MAX_DIMENSION_SAMPLES + 1}),
 )
 
 
