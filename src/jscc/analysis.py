@@ -268,7 +268,7 @@ def boxcount_dimension(sampler, epsilons, samples_per_eps: int,
     in magnitude).  Each set is read as contiguous (d, count) columns.  The
     first set's count is the number of neighbours that differ in its sorted
     keys, plus one, and the doubled count the same over the sorted keys of
-    both sets, so no hashing np.unique runs per box size.
+    both sets.
     """
     eps = np.asarray(epsilons, dtype=np.float64).ravel()
     if eps.size < 2:

@@ -37,8 +37,7 @@ SNRS = (5.0, 15.0, 25.0, 40.0)
 
 # Values a mutation puts in place of any leaf or container.  Nothing here
 # asks for a large allocation: a count such as samples, n or min_trials
-# only ever gets a small or invalid value, or one past a cap that is
-# refused before anything is drawn.
+# only ever gets a small or invalid value.
 BAD_VALUES = (math.nan, math.inf, -math.inf, "x", "", "mystery", -1, 0, 1.5,
               2.0, 2.5, 1e-300, 3000.0, 1e5, True, None, [], {}, [1.0],
               {"zzz": 1})
