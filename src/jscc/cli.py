@@ -42,9 +42,11 @@ CSV_HEADER = "label,snr_db,sigma,trials,distortion,std_err,sdr_db,capped"
 DEFAULT_EPSILONS = tuple(2.0 ** -e for e in range(4, 13))
 
 # Most samples per set of a dimension check, eight times the presets'
-# 250 000.  Box counting holds two sets of (d, samples) points and their
-# keys, about 2 * samples * (d + 2) * 8 bytes (128 MB at d = 2, 320 MB at
-# d = 8), on top of the encoder's own temporaries.
+# 250 000, and per stretch profile.  Box counting holds two sets of
+# (d, samples) points and their keys, about 2 * samples * (d + 2) * 8 bytes
+# (128 MB at d = 2, 320 MB at d = 8); a stretch profile holds the draws, their
+# code and one perturbed code, about samples * (2 * d + 2) * 8 bytes.  Both
+# come on top of the encoder's own temporaries.
 MAX_DIMENSION_SAMPLES = 2_000_000
 
 _CODEC_FIELDS = tuple(f.name for f in dataclasses.fields(CodecSpec))
@@ -133,7 +135,8 @@ def _check_seed(seed: int, where: str) -> int:
 
 
 def _check_samples(samples: int, where: str) -> int:
-    """A dimension check's sample count, refused before anything is drawn."""
+    """A dimension check's or stretch profile's sample count, refused
+    before anything is drawn."""
     _require(samples >= 1, f"{where} must be at least 1")
     _require(samples <= MAX_DIMENSION_SAMPLES,
              f"{where} must be at most {MAX_DIMENSION_SAMPLES}, got {samples}")
@@ -692,12 +695,14 @@ def run_dimension(args) -> int:
 
 
 def run_stretch(args) -> int:
-    codec = _checked_codec(_codec_from_json(args.codec), "--codec")
+    spec = _codec_from_json(args.codec)
+    samples = _check_samples(args.samples, "--samples")
+    codec = _checked_codec(spec, "--codec")
     deltas = _floats(args.deltas, "--deltas",
                      tuple(np.geomspace(1e-2, 1e-4, 7).tolist()))
     rng = channel.derived_rng(_check_seed(args.seed, "--seed"), 0x57, 0)
     try:
-        prof = analysis.stretch_profile(codec, deltas, args.samples, rng=rng)
+        prof = analysis.stretch_profile(codec, deltas, samples, rng=rng)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _write(args.out, _csv("delta,mean_square",

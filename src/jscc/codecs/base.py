@@ -25,6 +25,13 @@ SEGMENT_CAP = 1 << 20
 K_CAP = 24
 
 NORMALIZATION_SAMPLES = 10 ** 6
+# measure_normalization sums its fixed draws in chunks of NORMALIZATION_CHUNK
+# rows, draws NORMALIZATION_GROUP chunks at a time and folds them side by
+# side, NORMALIZATION_BLOCK rows of each per encode.  Only the chunk length
+# shapes the sums; the other two trade speed against memory.
+NORMALIZATION_CHUNK = 1 << 16
+NORMALIZATION_GROUP = 4
+NORMALIZATION_BLOCK = 2048
 
 # Unit roundoff of float64, the bound on one rounding's relative error.
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
@@ -230,30 +237,69 @@ class NormalizationRecord:
     samples: int
 
 
-def _column_sums(s: np.ndarray) -> np.ndarray:
-    """s.sum(axis=0), bit for bit, for a C-contiguous (rows, dims) array.
+def _chunk_sums(codec: Codec, x: np.ndarray) -> list:
+    """Column sums of each chunk's code values and their squares.
 
-    Over axis 0 numpy adds such an array row by row when dims > 1, the order
-    cumsum takes too, and cumsum is faster.  A single column is contiguous
-    along axis 0, where sum is pairwise, so it keeps sum.
+    x is (g, rows), one chunk of source draws per row.  Returns one
+    (value sums, square sums) pair per chunk, in chunk order, each as
+    s.sum(axis=0) and (s * s).sum(axis=0) over the chunk's whole
+    (rows, dims) code s would give them.
+
+    Over axis 0 numpy adds a C-contiguous (rows, dims > 1) array row by row,
+    in row order.  The g chunks are encoded side by side, NORMALIZATION_BLOCK
+    rows of each at a time, into a (block rows, 2 * g * dims) array whose
+    first row also carries every column's sum so far, so one row-wise reduce
+    keeps that order for all of them.  A single column is contiguous along
+    axis 0, where sum is pairwise, so each chunk is summed whole.
     """
-    return np.cumsum(s, axis=0)[-1] if s.shape[1] > 1 else s.sum(axis=0)
+    g, rows = x.shape
+    if x.size == 0:
+        return []
+    if codec.dims == 1:
+        return [(s.sum(axis=0), (s * s).sum(axis=0)) for s in map(codec.encode, x)]
+    width = g * codec.dims
+    block = np.empty((min(rows, NORMALIZATION_BLOCK), 2 * width))
+    fold = None
+    for r0 in range(0, rows, NORMALIZATION_BLOCK):
+        # Row r of the interleaved draws holds row r0 + r of every chunk.
+        s = codec.encode(x[:, r0:r0 + NORMALIZATION_BLOCK].T.ravel()).reshape(-1, width)
+        part = block[:s.shape[0]]
+        np.multiply(s, s, out=part[:, width:])
+        part[:, :width] = s
+        if fold is not None:
+            part[0] += fold
+        fold = np.add.reduce(part, axis=0)
+    sums, squares = fold.reshape(2, g, codec.dims)
+    return list(zip(sums, squares))
+
+
+def _group_sums(codec: Codec, x: np.ndarray) -> list:
+    """_chunk_sums over x cut into NORMALIZATION_CHUNK-row chunks, the last
+    of which may be shorter."""
+    whole = x.size - x.size % NORMALIZATION_CHUNK
+    return (_chunk_sums(codec, x[:whole].reshape(-1, NORMALIZATION_CHUNK))
+            + _chunk_sums(codec, x[whole:].reshape(1, -1)))
 
 
 def measure_normalization(codec: Codec) -> NormalizationRecord:
     """Moments of the codec's constellation over a fixed NORMALIZATION_SAMPLES
-    source draws from seed 0x5EED, the same for every run."""
+    source draws from seed 0x5EED, the same for every run.
+
+    The draws are summed in NORMALIZATION_CHUNK-row chunks, and the chunk
+    sums join the totals in stream order."""
     rng = np.random.default_rng(0x5EED)
-    chunk = 1 << 16
     done = 0
     dim_sum = np.zeros(codec.dims)
     dim_sq = np.zeros(codec.dims)
     while done < NORMALIZATION_SAMPLES:
-        m = min(chunk, NORMALIZATION_SAMPLES - done)
-        x = numrep.draw_source(codec.spec.source_kind, rng, m)
-        s = codec.encode(x)
-        dim_sum += _column_sums(s)
-        dim_sq += _column_sums(s * s)
+        m = min(NORMALIZATION_GROUP * NORMALIZATION_CHUNK,
+                NORMALIZATION_SAMPLES - done)
+        # Only the call holds the group's draws, so they are freed before
+        # the next group is drawn.
+        for v, q in _group_sums(
+                codec, numrep.draw_source(codec.spec.source_kind, rng, m)):
+            dim_sum += v
+            dim_sq += q
         done += m
     mean = dim_sum / done
     var = dim_sq / done - mean * mean

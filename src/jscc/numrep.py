@@ -88,7 +88,9 @@ def split_integer_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def draw_source(kind: str, rng: np.random.Generator, size=None) -> np.ndarray:
     """Source draws: uniform on [-1/2, 1/2) or standard normal."""
     if kind == "uniform":
-        return rng.random(size) - 0.5
+        x = rng.random(size)
+        x -= 0.5
+        return x
     if kind == "gaussian":
         return rng.standard_normal(size)
     raise ValueError(f"unknown source kind {kind!r}")

@@ -734,6 +734,21 @@ def test_dimension_samples_cap_exits_2_before_drawing(tmp_path, monkeypatch):
     assert max(c.samples for c in checks) <= cli.MAX_DIMENSION_SAMPLES
 
 
+def test_stretch_samples_cap_exits_2_before_drawing(tmp_path, monkeypatch, capsys):
+    def no_profile(*args, **kwargs):
+        raise AssertionError("a stretch profile ran past the samples cap")
+
+    monkeypatch.setattr(analysis, "stretch_profile", no_profile)
+    out = tmp_path / "s.csv"
+    for over in (cli.MAX_DIMENSION_SAMPLES + 1, 10 ** 10):
+        assert cli.main(["stretch", "--codec", '{"scheme": "repetition", "n": 2}',
+                         "--samples", str(over), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --samples must be at most "
+            f"{cli.MAX_DIMENSION_SAMPLES}, got {over}\n")
+    assert not out.exists()
+
+
 def test_stretch_command(tmp_path, capsys):
     out = tmp_path / "s.csv"
     assert cli.main(["stretch", "--codec",

@@ -1,10 +1,14 @@
 """Constellation moment measurement used by the sweep harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from jscc import numrep
 from jscc.codecs import CodecSpec, build_codec, measure_normalization, resolve_for_sigma
+from jscc.codecs.base import NORMALIZATION_CHUNK, NORMALIZATION_SAMPLES, SCHEMES
 
 
 def test_repetition_moments():
@@ -41,22 +45,26 @@ def test_wrapper_measures_under_its_own_source():
     assert all(np.isfinite(rec.mean))
 
 
-class SumOracle:
-    """A codec whose encode also accumulates each chunk's column sums by the
-    plain s.sum(axis=0) formula, the reference for measure_normalization."""
-
-    def __init__(self, codec):
-        self.codec, self.spec, self.dims = codec, codec.spec, codec.dims
-        self.dim_sum = np.zeros(codec.dims)
-        self.dim_sq = np.zeros(codec.dims)
-        self.rows = 0
-
-    def encode(self, x):
-        s = self.codec.encode(x)
-        self.dim_sum += s.sum(axis=0)
-        self.dim_sq += (s * s).sum(axis=0)
-        self.rows += s.shape[0]
-        return s
+def plain_sums(codec):
+    """Column sums of the codec's values and squares over the fixed
+    normalization stream, by the plain formula: draws from
+    default_rng(0x5EED) in NORMALIZATION_CHUNK-row chunks, each chunk encoded
+    whole and its s.sum(axis=0) and (s * s).sum(axis=0) added in turn."""
+    rng = np.random.default_rng(0x5EED)
+    dim_sum = np.zeros(codec.dims)
+    dim_sq = np.zeros(codec.dims)
+    rows = 0
+    while rows < NORMALIZATION_SAMPLES:
+        m = min(NORMALIZATION_CHUNK, NORMALIZATION_SAMPLES - rows)
+        if codec.spec.source_kind == "uniform":
+            x = rng.random(m) - 0.5
+        else:
+            x = rng.standard_normal(m)
+        s = codec.encode(x)
+        dim_sum += s.sum(axis=0)
+        dim_sq += (s * s).sum(axis=0)
+        rows += m
+    return dim_sum, dim_sq, rows
 
 
 NORMALIZED_SPECS = [
@@ -76,13 +84,53 @@ NORMALIZED_SPECS = [
 
 @pytest.mark.parametrize("spec", NORMALIZED_SPECS, ids=lambda s: s.describe())
 def test_normalization_bits_match_plain_column_sums(spec):
-    oracle = SumOracle(build_codec(spec))
-    rec = measure_normalization(oracle)
-    mean = oracle.dim_sum / oracle.rows
-    power = float((oracle.dim_sq / oracle.rows - mean * mean).mean())
-    assert oracle.rows == rec.samples
+    codec = build_codec(spec)
+    rec = measure_normalization(codec)
+    dim_sum, dim_sq, rows = plain_sums(codec)
+    mean = dim_sum / rows
+    power = float((dim_sq / rows - mean * mean).mean())
+    assert rows == rec.samples
     assert np.array_equal(np.asarray(rec.mean), mean)
     assert rec.power == power
+
+
+# The first normalized spec of each scheme.
+ROW_SPECS = list({s.scheme: s for s in reversed(NORMALIZED_SPECS)}.values())
+
+
+def test_row_specs_cover_every_scheme():
+    assert sorted(s.scheme for s in ROW_SPECS) == sorted(SCHEMES)
+
+
+@pytest.mark.parametrize("spec", ROW_SPECS, ids=lambda s: s.describe())
+def test_encode_is_row_independent(spec):
+    # measure_normalization encodes its chunks interleaved and in blocks, so
+    # a row's code may depend on nothing but that row's draw.
+    codec = build_codec(spec)
+    rng = np.random.default_rng(7)
+    x = numrep.draw_source(spec.source_kind, rng, 1000)
+    whole = codec.encode(x)
+    perm = rng.permutation(x.size)
+    assert codec.encode(x[perm]).tobytes() == whole[perm].tobytes()
+    cuts = [0, 1, 8, 9, 300, 1000]
+    parts = [codec.encode(x[a:b]) for a, b in zip(cuts, cuts[1:])]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+# Traced bytes one measurement may hold at its peak.
+NORMALIZATION_PEAK_BYTES = 8 << 20
+
+
+@pytest.mark.parametrize("spec", NORMALIZED_SPECS, ids=lambda s: s.describe())
+def test_normalization_peak_memory(spec):
+    codec = build_codec(spec)
+    tracemalloc.start()
+    try:
+        measure_normalization(codec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= NORMALIZATION_PEAK_BYTES, f"{peak / 2 ** 20:.2f} MiB"
 
 
 def mod_encode(codec, x):
