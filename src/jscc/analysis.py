@@ -256,7 +256,7 @@ def _columns(points) -> np.ndarray:
 
 
 def boxcount_dimension(sampler, epsilons, samples_per_eps: int,
-                       rng: np.random.Generator | None = None) -> DimensionEstimate:
+                       rng: np.random.Generator) -> DimensionEstimate:
     """Box-counting dimension of a sampled point set.
 
     sampler(count, rng) must return a (count, d) array of finite points.  For
@@ -279,8 +279,6 @@ def boxcount_dimension(sampler, epsilons, samples_per_eps: int,
         raise ValueError("box sizes must be positive and strictly decreasing")
     if samples_per_eps < 1:
         raise ValueError("samples_per_eps must be positive")
-    if rng is None:
-        rng = np.random.default_rng(0x5EED)
     cols_a = _columns(sampler(samples_per_eps, rng))
     cols_b = _columns(sampler(samples_per_eps, rng))
     if cols_a.ndim != 2 or cols_b.shape != cols_a.shape:
@@ -338,7 +336,7 @@ class StretchProfile:
 
 
 def stretch_profile(codec, deltas, sample_count: int,
-                    rng: np.random.Generator | None = None) -> StretchProfile:
+                    rng: np.random.Generator) -> StretchProfile:
     """Fit the power law of encoder displacement under source perturbation.
 
     Estimates E||f(x + delta) - f(x)||^2 by Monte Carlo for each delta and
@@ -359,8 +357,6 @@ def stretch_profile(codec, deltas, sample_count: int,
         raise ValueError("sample_count must be at least 1e5")
     if codec.spec.source_kind != "uniform":
         raise ValueError("stretch profile needs a uniform-interval source")
-    if rng is None:
-        rng = np.random.default_rng(0x5EED)
     x = rng.random(sample_count) - 0.5
     s0 = codec.encode(x)
     vals = []

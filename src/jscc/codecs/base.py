@@ -1,5 +1,6 @@
 """Codec descriptions, parameter validation, and constellation normalization."""
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,6 +204,13 @@ class Codec:
             raise ValueError("family spec must be resolved to a concrete codec")
         self.spec = spec
         self.dims = spec.dims
+
+    @functools.cached_property
+    def normalization(self) -> "NormalizationRecord":
+        """The constellation's measured moments, measured on first access
+        and kept with the codec.  Raises ValueError for a code with no
+        spread."""
+        return measure_normalization(self)
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError

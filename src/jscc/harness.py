@@ -6,15 +6,18 @@ and batches run and merge strictly in batch-index order, so the estimate
 is a bit-identical function of the seed, the plan and the codec.
 
 The transmitted signal is normalized to zero mean and unit average power
-using a measured per-codec record; decoding happens back in the raw
-constellation coordinates, where the effective noise level is the channel
-sigma scaled by the measured power root.
+using the record the codec carries (`Codec.normalization`); decoding happens
+back in the raw constellation coordinates, where the effective noise level
+is the channel sigma scaled by the measured power root.
 
 `sweep_curves` owns a sweep.  It builds every codec, then runs two job
-lists: one normalization per distinct resolved spec, then one point per
-(curve, grid point).  `run_jobs` runs each list in this process and up to
-workers - 1 pool processes and merges the results in job order, so no
-number depends on the worker count.
+lists: one normalization per distinct resolved spec, whose records it hands
+to this process's codecs, then one point per (curve, grid point).
+`run_jobs` runs each list in this process and up to workers - 1 forked pool
+processes, which inherit the codecs and their records, and merges the
+results in job order, so no number depends on the worker count.  Codecs
+live in one cache per process, so a later sweep of the same specs measures
+nothing again.
 """
 
 from __future__ import annotations
@@ -28,12 +31,11 @@ import numpy as np
 
 from . import channel, numrep
 from .codecs import CodecSpec, build_codec, resolve_for_sigma
-from .codecs.base import NormalizationRecord, measure_normalization
+from .codecs.base import NormalizationRecord
 
 BATCH_SIZE = 4096
 
 _codec_cache: dict[CodecSpec, object] = {}
-_normalization_cache: dict[CodecSpec, NormalizationRecord] = {}
 
 
 def cached_codec(spec: CodecSpec):
@@ -53,15 +55,6 @@ class CurveError(ValueError):
 
     def __str__(self) -> str:
         return self.args[1]
-
-
-def get_normalization(codec) -> NormalizationRecord:
-    """Measured mean/power record for a codec, memoized per spec."""
-    rec = _normalization_cache.get(codec.spec)
-    if rec is None:
-        rec = measure_normalization(codec)
-        _normalization_cache[codec.spec] = rec
-    return rec
 
 
 @dataclass(frozen=True)
@@ -104,7 +97,6 @@ class SdrCurve:
     plan: SweepPlan
     points: tuple
     resolved: tuple
-    normalizations: tuple
 
 
 class _Kahan:
@@ -181,16 +173,14 @@ def _moments(sum2: _Kahan, sum4: _Kahan, trials: int) -> tuple:
     return mean, math.sqrt(var / trials)
 
 
-def estimate_point(codec, noise: channel.NoisePoint, plan: SweepPlan, *,
-                   normalization: NormalizationRecord | None = None) -> SdrPoint:
+def estimate_point(codec, noise: channel.NoisePoint, plan: SweepPlan) -> SdrPoint:
     """Adaptive distortion estimate at one noise level.
 
     Stops at the first batch boundary past min_trials where the relative
     standard error of the distortion meets the plan target; caps at
     max_trials (rounded up to whole batches) with the capped flag set.
     """
-    if normalization is None:
-        normalization = get_normalization(codec)
+    normalization = codec.normalization
     max_batches = -(-plan.max_trials // BATCH_SIZE)
     sum2, sum4 = _Kahan(), _Kahan()
     trials = 0
@@ -234,16 +224,15 @@ def normalization_job(spec: CodecSpec, index: int) -> NormalizationRecord:
     """Job: the measured normalization of one resolved spec, which plan
     `index` is the first to use."""
     try:
-        return measure_normalization(cached_codec(spec))
+        return cached_codec(spec).normalization
     except ValueError as exc:
         raise CurveError(index, str(exc)) from exc
 
 
-def point_job(spec: CodecSpec, noise: channel.NoisePoint, plan: SweepPlan,
-              normalization: NormalizationRecord) -> SdrPoint:
+def point_job(spec: CodecSpec, noise: channel.NoisePoint,
+              plan: SweepPlan) -> SdrPoint:
     """Job: the estimate of one grid point."""
-    return estimate_point(cached_codec(spec), noise, plan,
-                          normalization=normalization)
+    return estimate_point(cached_codec(spec), noise, plan)
 
 
 def _available_cpus() -> int:
@@ -259,18 +248,27 @@ def run_jobs(fn, jobs: list, workers: int) -> list:
     n = min(workers, len(jobs), available CPUs).  With n <= 1 the jobs run
     here, in order.  Otherwise n - 1 pool processes take jobs from the front
     of the list while this process takes them from the back, cancelling
-    each one the pool has not started, until the two meet.  Forked workers
-    inherit the built codecs; spawned ones rebuild them.  If jobs raise, the
-    error of the first in job order is raised, as in the serial loop, and
-    every job not yet started is cancelled.
+    each one the pool has not started, until the two meet.  If jobs raise,
+    the error of the first in job order is raised, as in the serial loop,
+    and every job not yet started is cancelled.
+
+    The pool forks wherever the platform has fork, whatever Python's
+    default start method: forked workers inherit this process's codecs with
+    their normalization records, and any module state set before the pool
+    starts.  Spawned or forkserver workers would rebuild and measure every
+    codec they use again.
     """
     n = min(workers, len(jobs), _available_cpus())
     if n <= 1:
         return [fn(*job) for job in jobs]
     # Imported here, so that serial runs never load the pool's modules.
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(n - 1)
+    context = None
+    if "fork" in multiprocessing.get_all_start_methods():
+        context = multiprocessing.get_context("fork")
+    pool = ProcessPoolExecutor(n - 1, mp_context=context)
     try:
         pending = [pool.submit(fn, *job) for job in jobs]
         results = [None] * len(jobs)
@@ -305,23 +303,15 @@ def sweep_curves(plans, workers: int) -> list:
         for spec, _ in grid:
             cached_codec(spec)
             first_plan.setdefault(spec, index)
-    todo = [(spec, index) for spec, index in first_plan.items()
-            if spec not in _normalization_cache]
-    records = run_jobs(normalization_job, todo, workers)
-    _normalization_cache.update((spec, rec) for (spec, _), rec in zip(todo, records))
-    jobs = [(spec, noise, plan, _normalization_cache[spec])
+    todo = list(first_plan.items())
+    # A pool measures in its own processes, so the records are handed to
+    # this process's codecs, which the point pool's workers inherit.
+    for (spec, _), rec in zip(todo, run_jobs(normalization_job, todo, workers)):
+        cached_codec(spec).normalization = rec
+    jobs = [(spec, noise, plan)
             for plan, grid in zip(plans, grids) for spec, noise in grid]
     results = iter(run_jobs(point_job, jobs, workers))
-    curves = []
-    for plan, grid in zip(plans, grids):
-        resolved = tuple(spec for spec, _ in grid)
-        curves.append(SdrCurve(
-            plan=plan, points=tuple(itertools.islice(results, len(grid))),
-            resolved=resolved,
-            normalizations=tuple(_normalization_cache[s] for s in resolved)))
-    return curves
-
-
-def sweep(plan: SweepPlan) -> SdrCurve:
-    """One plan's curve, computed serially; see sweep_curves."""
-    return sweep_curves([plan], 1)[0]
+    return [SdrCurve(plan=plan,
+                     points=tuple(itertools.islice(results, len(grid))),
+                     resolved=tuple(spec for spec, _ in grid))
+            for plan, grid in zip(plans, grids)]

@@ -34,7 +34,7 @@ from jscc.analysis import (
     slope_fit,
 )
 from jscc.codecs import CodecSpec, build_codec
-from jscc.harness import SweepPlan, estimate_point, sweep
+from jscc.harness import SweepPlan, estimate_point
 
 SEED = 24269
 SOURCE_VAR = 1.0 / 12.0
@@ -48,7 +48,7 @@ def _sweep(spec, grid):
     plan = SweepPlan(codec=spec, snr_grid_db=grid, min_trials=100_000,
                      max_trials=2_000_000, rel_se_target=0.1,
                      master_seed=SEED)
-    return sweep(plan)
+    return harness.sweep_curves([plan], 1)[0]
 
 
 def _point(spec, snr_db, point_index, max_trials=2_000_000):
@@ -215,9 +215,9 @@ def test_criterion_08_boxcount_recovers_known_dimensions():
     """Box-counting on two sanity shapes and on the fractal codec's
     constellation at bases 4 and 8."""
     seg = boxcount_dimension(_segment_sampler, 2.0 ** -np.arange(3, 11),
-                             150_000)
+                             150_000, rng=np.random.default_rng(0x5EED))
     sq = boxcount_dimension(_square_sampler, 2.0 ** -np.arange(2, 7),
-                            300_000)
+                            300_000, rng=np.random.default_rng(0x5EED))
     assert seg.saturated and sq.saturated
     assert abs(seg.fitted_dimension - 1.0) <= 0.05, seg.fitted_dimension
     assert abs(sq.fitted_dimension - 2.0) <= 0.05, sq.fitted_dimension
@@ -225,7 +225,8 @@ def test_criterion_08_boxcount_recovers_known_dimensions():
     for alpha in (4.0, 8.0):
         codec = build_codec(CodecSpec(scheme="scheme1", n=2, alpha=alpha))
         est = boxcount_dimension(constellation_sampler(codec),
-                                 2.0 ** -np.arange(4, 13), 250_000)
+                                 2.0 ** -np.arange(4, 13), 250_000,
+                                 rng=np.random.default_rng(0x5EED))
         want = scheme1_beta(2, alpha)
         fitted[alpha] = est.fitted_dimension
         assert est.saturated
@@ -273,7 +274,7 @@ def test_criterion_10_repetition_tracks_closed_form_everywhere():
     quadrature value at every point."""
     spec = CodecSpec(scheme="repetition", n=4)
     codec = harness.cached_codec(spec)
-    norm = harness.get_normalization(codec)
+    norm = codec.normalization
     grid = tuple(float(v) for v in range(5, 51, 5))
     plan = SweepPlan(codec=spec, snr_grid_db=grid, min_trials=100_000,
                      max_trials=2_000_000, rel_se_target=0.1,
@@ -283,7 +284,7 @@ def test_criterion_10_repetition_tracks_closed_form_everywhere():
         noise = channel.NoisePoint(sigma=channel.sigma_from_snr_db(snr),
                                    snr_db=snr, master_seed=SEED,
                                    point_index=i)
-        pt = estimate_point(codec, noise, plan, normalization=norm)
+        pt = estimate_point(codec, noise, plan)
         sigma_raw = pt.sigma * math.sqrt(norm.power)
         want = _clamped_repetition_distortion(sigma_raw / 2.0)
         dev = abs(pt.distortion - want) / pt.std_err

@@ -9,6 +9,7 @@ import pytest
 
 from jscc import analysis, channel, cli, harness, svgplot
 from jscc.cli import ConfigError, parse_config
+from jscc.codecs import base, resolve_for_sigma
 from jscc.harness import SdrPoint
 
 
@@ -335,7 +336,7 @@ class _InlinePool:
 
     requested = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None):
         self.requested.append(max_workers)
 
     def submit(self, fn, *args):
@@ -400,8 +401,8 @@ def test_pool_and_serial_runs_write_identical_csvs(tmp_path, monkeypatch):
     cfg.write_text(json.dumps(_mixed_config()))
     csvs = {}
     for workers in ("1", "2"):
-        # Measure every normalization again, so the pool runs those jobs too.
-        monkeypatch.setattr(harness, "_normalization_cache", {})
+        # Build and measure every codec again, so the pool measures too.
+        monkeypatch.setattr(harness, "_codec_cache", {})
         out = tmp_path / f"w{workers}"
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
                          "--workers", workers]) == 0
@@ -420,15 +421,15 @@ def test_pool_and_serial_runs_write_identical_csvs(tmp_path, monkeypatch):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_normalization_failure_exits_2_naming_the_first_curve_that_fails(
         tmp_path, monkeypatch, capsys, workers, failing, label):
-    monkeypatch.setattr(harness, "_normalization_cache", {})
-    real = harness.measure_normalization
+    monkeypatch.setattr(harness, "_codec_cache", {})
+    real = base.measure_normalization
 
     def measure(codec):
         if codec.spec.scheme in failing:
             raise ValueError("no spread")
         return real(codec)
 
-    monkeypatch.setattr(harness, "measure_normalization", measure)
+    monkeypatch.setattr(base, "measure_normalization", measure)
     cfg = tmp_path / "mixed.json"
     cfg.write_text(json.dumps(_mixed_config()))
     out = tmp_path / "out"
@@ -436,6 +437,36 @@ def test_normalization_failure_exits_2_naming_the_first_curve_that_fails(
                      "--workers", workers]) == 2
     assert capsys.readouterr().err == f"config error: curve {label!r}: no spread\n"
     assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_each_resolved_spec_is_normalized_once_per_process(
+        tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(harness, "_codec_cache", {})
+    log = tmp_path / "measured.log"
+    real = base.measure_normalization
+
+    def measure(codec):
+        # A file, not a list, so that pool workers' measurements count too.
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{codec.spec.describe()}\n")
+        return real(codec)
+
+    monkeypatch.setattr(base, "measure_normalization", measure)
+    data = _mixed_config()
+    distinct = {resolve_for_sigma(job.spec, channel.sigma_from_snr_db(snr))
+                for job in parse_config(data).curves for snr in job.grid}
+    cfg = tmp_path / "mixed.json"
+    cfg.write_text(json.dumps(data))
+    # The second run in this process finds every record on its codecs.
+    for run, want in (("first", sorted(s.describe() for s in distinct)),
+                      ("again", [])):
+        log.write_text("", encoding="utf-8")
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / run),
+                         "--workers", workers]) == 0
+        assert sorted(log.read_text(encoding="utf-8").splitlines()) == want
     assert multiprocessing.active_children() == []
 
 

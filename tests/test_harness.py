@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from jscc import channel, harness, numrep
 from jscc.codecs import (SCHEMES, CapacityError, CodecSpec,
                          digital_depth_for_sigma, resolve_for_sigma)
-from jscc.harness import SweepPlan, estimate_point, sweep
+from jscc.harness import SweepPlan, estimate_point
 
 
 def _noise_at(snr_db, master_seed=0x5EED, point_index=0):
@@ -37,10 +37,9 @@ def clamped_repetition_distortion(sigma_eff):
 def test_repetition_point_matches_quadrature():
     spec = CodecSpec(scheme="repetition", n=4)
     codec = harness.cached_codec(spec)
-    norm = harness.get_normalization(codec)
     plan = SweepPlan(codec=spec, snr_grid_db=(20.0,))
-    point = estimate_point(codec, _noise_at(20.0), plan, normalization=norm)
-    sigma_raw = point.sigma * math.sqrt(norm.power)
+    point = estimate_point(codec, _noise_at(20.0), plan)
+    sigma_raw = point.sigma * math.sqrt(codec.normalization.power)
     want = clamped_repetition_distortion(sigma_raw / 2.0)
     assert abs(point.distortion - want) <= 3.0 * point.std_err
     assert not point.capped
@@ -97,11 +96,12 @@ def test_sweep_resolves_family_per_point():
     spec = CodecSpec(scheme="type1", n=2)
     plan = SweepPlan(codec=spec, snr_grid_db=(15.0, 27.0),
                      min_trials=8_192, max_trials=16_384, rel_se_target=0.5)
-    curve = sweep(plan)
+    curve = harness.sweep_curves([plan], 1)[0]
     assert [s.k for s in curve.resolved] == [2, 4]
     assert curve.resolved[0].k == digital_depth_for_sigma(curve.points[0].sigma)
     assert len(curve.points) == 2
-    assert curve.normalizations[0] != curve.normalizations[1]
+    low, high = (harness.cached_codec(s).normalization for s in curve.resolved)
+    assert low != high
 
 
 def test_sweep_propagates_capacity_error():
@@ -109,12 +109,12 @@ def test_sweep_propagates_capacity_error():
     plan = SweepPlan(codec=spec, snr_grid_db=(90.0,),
                      min_trials=4_096, max_trials=8_192, rel_se_target=0.5)
     with pytest.raises(CapacityError):
-        sweep(plan)
+        harness.sweep_curves([plan], 1)[0]
 
 
 def test_sweep_empty_grid():
     plan = SweepPlan(codec=CodecSpec(scheme="repetition", n=2), snr_grid_db=())
-    curve = sweep(plan)
+    curve = harness.sweep_curves([plan], 1)[0]
     assert curve.points == ()
     assert curve.resolved == ()
 
@@ -123,7 +123,7 @@ def test_sweep_single_point_matches_estimate_point():
     spec = CodecSpec(scheme="shift_map", n=3, a=2)
     plan = SweepPlan(codec=spec, snr_grid_db=(18.0,),
                      min_trials=8_192, max_trials=16_384, rel_se_target=0.5)
-    curve = sweep(plan)
+    curve = harness.sweep_curves([plan], 1)[0]
     codec = harness.cached_codec(spec)
     direct = estimate_point(codec, _noise_at(18.0), plan)
     assert curve.points == (direct,)
@@ -133,7 +133,7 @@ def test_sdr_grows_with_snr():
     spec = CodecSpec(scheme="repetition", n=2)
     plan = SweepPlan(codec=spec, snr_grid_db=(10.0, 20.0, 30.0),
                      min_trials=20_000, max_trials=100_000, rel_se_target=0.05)
-    curve = sweep(plan)
+    curve = harness.sweep_curves([plan], 1)[0]
     sdrs = [p.sdr_db for p in curve.points]
     assert sdrs[0] < sdrs[1] < sdrs[2]
 
@@ -256,11 +256,10 @@ def test_estimate_point_matches_the_fsum_oracle(scheme, monkeypatch):
     for index, snr in enumerate(plan.snr_grid_db):
         noise = _noise_at(snr, master_seed=1009, point_index=index)
         codec = harness.cached_codec(resolve_for_sigma(plan.codec, noise.sigma))
-        norm = harness.get_normalization(codec)
-        got = estimate_point(codec, noise, plan, normalization=norm)
+        got = estimate_point(codec, noise, plan)
         with monkeypatch.context() as m:
             m.setattr(harness, "_run_batch", _fsum_run_batch)
-            want = estimate_point(codec, noise, plan, normalization=norm)
+            want = estimate_point(codec, noise, plan)
         assert got == want
 
 
@@ -297,5 +296,6 @@ def test_sweep_curves_match_one_sweep_per_plan():
              SweepPlan(codec=CodecSpec(scheme="repetition", n=2),
                        snr_grid_db=(10.0,), min_trials=4_096,
                        max_trials=8_192, rel_se_target=0.5)]
-    assert harness.sweep_curves(plans, workers=2) == [sweep(p) for p in plans]
+    assert harness.sweep_curves(plans, workers=2) == \
+        [harness.sweep_curves([p], 1)[0] for p in plans]
     assert multiprocessing.active_children() == []

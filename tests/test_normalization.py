@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jscc import numrep
+from jscc.codecs import base
 from jscc.codecs import CodecSpec, build_codec, measure_normalization, resolve_for_sigma
 from jscc.codecs.base import NORMALIZATION_CHUNK, NORMALIZATION_SAMPLES, SCHEMES
 
@@ -37,6 +38,21 @@ def test_measurement_is_deterministic():
     a = measure_normalization(build_codec(spec))
     b = measure_normalization(build_codec(spec))
     assert a == b
+
+
+def test_codec_measures_its_normalization_once(monkeypatch):
+    codec = build_codec(CodecSpec("repetition", n=2))
+    real = base.measure_normalization
+    calls = []
+
+    def measure(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(base, "measure_normalization", measure)
+    assert codec.normalization == real(codec)
+    assert codec.normalization is codec.normalization
+    assert calls == [codec]
 
 
 def test_wrapper_measures_under_its_own_source():
