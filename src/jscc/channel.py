@@ -19,13 +19,18 @@ class NoisePoint:
 def sigma_from_snr_db(snr_db: float) -> float:
     """Per-dimension noise std for unit transmit power: 10**(-snr_db/20).
 
-    A level past the float64 range is a ValueError.
+    For a scalar, a level past the float64 range, or one that rounds to zero
+    (above about 6472 dB), is a ValueError.  An array maps element by element
+    to inf or 0.0 there, as numpy's power does.
     """
     try:
-        return 10.0 ** (-snr_db / 20.0)
+        sigma = 10.0 ** (-snr_db / 20.0)
     except OverflowError:
         raise ValueError(f"snr {snr_db!r} dB puts the noise level past "
                          "the float64 range") from None
+    if np.ndim(sigma) == 0 and sigma == 0.0:
+        raise ValueError(f"snr {snr_db!r} dB rounds the noise level to zero")
+    return sigma
 
 
 def snr_db_from_sigma(sigma: float) -> float:
@@ -45,17 +50,20 @@ def sdr_db(distortion: float, source_variance: float) -> float:
     return 10.0 * math.log10(source_variance / distortion)
 
 
-def awgn(s: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Add white gaussian noise with per-dimension std sigma."""
+def awgn(s: np.ndarray, sigma: float, z: np.ndarray) -> np.ndarray:
+    """s plus white gaussian noise of per-dimension std sigma, as a new array.
+
+    z holds the standard normal draws, one per entry of s.  It is only read,
+    so one draw can serve every signal sent over the same stream.
+    """
     if sigma < 0.0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0.0:
         return np.array(s, dtype=np.float64, copy=True)
-    # sigma * z + s in place: the same roundings as s + sigma * z.
-    z = rng.standard_normal(np.shape(s))
-    z *= sigma
-    z += s
-    return z
+    # sigma * z + s: the same roundings as s + sigma * z.
+    y = np.multiply(z, sigma)
+    y += s
+    return y
 
 
 def batch_rng(master_seed: int, point_index: int, batch_index: int) -> np.random.Generator:

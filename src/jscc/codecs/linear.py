@@ -17,7 +17,8 @@ def optimal_a(sigma: float, n: int) -> tuple[int, bool]:
 
     Valid while sigma * sqrt(-log sigma) <= 1 / (16 sqrt(n)); outside that
     range the noise is too large for the rule and the minimum a = 2 is
-    returned with the flag cleared.
+    returned with the flag cleared.  A noise level so small that the
+    multiplier passes the float64 range is a CapacityError.
     """
     if n < 2:
         raise ValueError("needs n >= 2")
@@ -28,8 +29,11 @@ def optimal_a(sigma: float, n: int) -> tuple[int, bool]:
     spread = sigma * math.sqrt(-math.log(sigma))
     if spread > 1.0 / (16.0 * math.sqrt(n)):
         return 2, False
-    a = math.floor(1.0 / (8.0 * math.sqrt(n) * spread))
-    return max(2, a), True
+    a = 1.0 / (8.0 * math.sqrt(n) * spread)
+    if a == math.inf:
+        raise CapacityError(f"noise level {sigma} asks for a stretch "
+                            "multiplier past the float64 range")
+    return max(2, math.floor(a)), True
 
 
 class RepetitionCodec(Codec):
@@ -69,13 +73,15 @@ class ShiftMapCodec(Codec):
     def __init__(self, spec: CodecSpec):
         super().__init__(spec)
         b = spec.stage_multipliers()
-        self.gains = np.ones(spec.n)
-        for i, m in enumerate(b):
-            self.gains[i + 1] = self.gains[i] * m
-        self.segments = int(np.prod(np.asarray(b, dtype=np.int64)))
+        # Python ints, which cannot wrap, so the cap sees the true count
+        # before any int64 array holds it.
+        self.segments = math.prod(int(m) for m in b)
         if self.segments > SEGMENT_CAP:
             raise CapacityError(
                 f"{self.segments} segments exceed the cap {SEGMENT_CAP}")
+        self.gains = np.ones(spec.n)
+        for i, m in enumerate(b):
+            self.gains[i + 1] = self.gains[i] * m
         self.gain_sq = float(self.gains @ self.gains)
         t = np.arange(self.segments, dtype=np.int64)
         # Integer offsets c of each dimension on segment t, exact by

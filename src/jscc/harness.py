@@ -1,9 +1,13 @@
 """Monte Carlo distortion estimation over SNR grids.
 
-Trials run in fixed batches of 4096.  Each batch draws its source samples
-and noise from a stream keyed by (master seed, point index, batch index),
-and batches run and merge strictly in batch-index order, so the estimate
-is a bit-identical function of the seed, the plan and the codec.
+Trials run in fixed batches of 4096.  Each batch draws its source samples,
+then its standard normal noise, from a stream keyed by (master seed, point
+index, batch index), and batches run and merge strictly in batch-index
+order, so the estimate is a bit-identical function of the seed, the plan and
+the codec.  Curves whose codecs share a source kind and a channel dimension
+read the same draws at the same point index; such a (curve, grid point) set
+is a stream group, and `estimate_point` draws each of its batches once for
+every member.
 
 The transmitted signal is normalized to zero mean and unit average power
 using the record the codec carries (`Codec.normalization`); decoding happens
@@ -12,7 +16,7 @@ is the channel sigma scaled by the measured power root.
 
 `sweep_curves` owns a sweep.  It builds every codec, then runs two job
 lists: one normalization per distinct resolved spec, whose records it hands
-to this process's codecs, then one point per (curve, grid point).
+to this process's codecs, then one point job per stream group.
 `run_jobs` runs each list in this process and up to workers - 1 forked pool
 processes, which inherit the codecs and their records, and merges the
 results in job order, so no number depends on the worker count.  Codecs
@@ -142,30 +146,6 @@ def _exact_sum(v: np.ndarray) -> float:
     return math.fsum(parts)
 
 
-def _run_batch(codec, noise: channel.NoisePoint, norm: NormalizationRecord,
-               batch_index: int) -> tuple:
-    rng = channel.batch_rng(noise.master_seed, noise.point_index, batch_index)
-    x = numrep.draw_source(codec.spec.source_kind, rng, BATCH_SIZE)
-    # encode and awgn return new arrays, rescaled here in place with the
-    # same roundings as (s - mean) / root_p and y * root_p + mean.
-    s = codec.encode(x)
-    root_p = math.sqrt(norm.power)
-    mean = np.asarray(norm.mean)
-    s -= mean
-    s /= root_p
-    y = channel.awgn(s, noise.sigma, rng)
-    y *= root_p
-    y += mean
-    xh = codec.decode(y, noise.sigma * root_p)
-    e2 = np.subtract(xh, x)
-    np.square(e2, out=e2)
-    # Both sums are exact before their one rounding, so tiny squared errors
-    # (down to ~1e-29) never vanish next to large ones, and the result does
-    # not depend on numpy's summation order.  _exact_sum works on the array
-    # itself, with a few whole-array passes, instead of a 4096-item list.
-    return _exact_sum(e2), _exact_sum(np.square(e2))
-
-
 def _moments(sum2: _Kahan, sum4: _Kahan, trials: int) -> tuple:
     """Mean squared error and its standard error from the running sums."""
     mean = sum2.total / trials
@@ -173,37 +153,91 @@ def _moments(sum2: _Kahan, sum4: _Kahan, trials: int) -> tuple:
     return mean, math.sqrt(var / trials)
 
 
-def estimate_point(codec, noise: channel.NoisePoint, plan: SweepPlan) -> SdrPoint:
-    """Adaptive distortion estimate at one noise level.
+class _Estimate:
+    """One member's running estimate; `point` is set once it stops."""
 
-    Stops at the first batch boundary past min_trials where the relative
-    standard error of the distortion meets the plan target; caps at
-    max_trials (rounded up to whole batches) with the capped flag set.
+    def __init__(self, codec, noise: channel.NoisePoint, plan: SweepPlan):
+        self.codec, self.noise, self.plan = codec, noise, plan
+        norm = codec.normalization
+        self.root_p = math.sqrt(norm.power)
+        self.mean = np.asarray(norm.mean)
+        # max_trials rounded up to whole batches
+        self.cap = -(-plan.max_trials // BATCH_SIZE) * BATCH_SIZE
+        self.sum2, self.sum4 = _Kahan(), _Kahan()
+        self.trials = 0
+        self.point = None
+
+    def add_batch(self, x: np.ndarray, z: np.ndarray):
+        """Run the batch with source x and standard normal draws z."""
+        codec, sigma = self.codec, self.noise.sigma
+        # encode and awgn return new arrays, rescaled here in place with the
+        # same roundings as (s - mean) / root_p and y * root_p + mean.
+        s = codec.encode(x)
+        s -= self.mean
+        s /= self.root_p
+        y = channel.awgn(s, sigma, z)
+        y *= self.root_p
+        y += self.mean
+        xh = codec.decode(y, sigma * self.root_p)
+        e2 = np.subtract(xh, x)
+        np.square(e2, out=e2)
+        # Both sums are exact before their one rounding, so tiny squared
+        # errors (down to ~1e-29) never vanish next to large ones, and the
+        # result does not depend on numpy's summation order.  _exact_sum
+        # works on the array itself, with a few whole-array passes, instead
+        # of a 4096-item list.
+        self.sum2.add(_exact_sum(e2))
+        self.sum4.add(_exact_sum(np.square(e2)))
+        self.trials += BATCH_SIZE
+        mean, std_err = _moments(self.sum2, self.sum4, self.trials)
+        stopped = self.trials >= self.plan.min_trials and (
+            mean == 0.0 or std_err <= self.plan.rel_se_target * mean)
+        if stopped or self.trials == self.cap:
+            self.point = SdrPoint(
+                snr_db=self.noise.snr_db,
+                sigma=sigma,
+                trials=self.trials,
+                distortion=mean,
+                std_err=std_err,
+                sdr_db=channel.sdr_db(mean, codec.spec.source_variance),
+                capped=not stopped,
+            )
+
+
+def _stream_key(codec, noise: channel.NoisePoint) -> tuple:
+    """What fixes a member's draws: members with one key share them."""
+    return (noise.master_seed, noise.point_index, codec.spec.source_kind,
+            codec.dims)
+
+
+def estimate_point(members) -> list:
+    """Adaptive distortion estimates of one stream group, in member order.
+
+    Each member is a (codec, noise point, plan) whose stream key is the
+    group's, so every member reads the same source and noise draws: each
+    batch's draws are made once and run through every member that still
+    needs them.  A member stops at the first batch boundary past its
+    min_trials where the relative standard error of its distortion meets
+    its target; it caps at max_trials (rounded up to whole batches) with the
+    capped flag set.
     """
-    normalization = codec.normalization
-    max_batches = -(-plan.max_trials // BATCH_SIZE)
-    sum2, sum4 = _Kahan(), _Kahan()
-    trials = 0
-    stopped = False
-    for batch_index in range(max_batches):
-        s2, s4 = _run_batch(codec, noise, normalization, batch_index)
-        sum2.add(s2)
-        sum4.add(s4)
-        trials += BATCH_SIZE
-        mean, std_err = _moments(sum2, sum4, trials)
-        if trials >= plan.min_trials and (
-                mean == 0.0 or std_err <= plan.rel_se_target * mean):
-            stopped = True
-            break
-    return SdrPoint(
-        snr_db=noise.snr_db,
-        sigma=noise.sigma,
-        trials=trials,
-        distortion=mean,
-        std_err=std_err,
-        sdr_db=channel.sdr_db(mean, codec.spec.source_variance),
-        capped=not stopped,
-    )
+    estimates = [_Estimate(*member) for member in members]
+    key = _stream_key(estimates[0].codec, estimates[0].noise)
+    if any(_stream_key(e.codec, e.noise) != key for e in estimates):
+        raise ValueError("members of a stream group must share their stream")
+    seed, point_index, kind, dims = key
+    live = estimates
+    for batch_index in itertools.count():
+        rng = channel.batch_rng(seed, point_index, batch_index)
+        x = numrep.draw_source(kind, rng, BATCH_SIZE)
+        z = rng.standard_normal((BATCH_SIZE, dims))
+        # Every member reads these; a write to either would corrupt the rest.
+        x.flags.writeable = z.flags.writeable = False
+        for estimate in live:
+            estimate.add_batch(x, z)
+        live = [e for e in live if e.point is None]
+        if not live:
+            return [e.point for e in estimates]
 
 
 def grid_points(plan: SweepPlan) -> list:
@@ -229,10 +263,10 @@ def normalization_job(spec: CodecSpec, index: int) -> NormalizationRecord:
         raise CurveError(index, str(exc)) from exc
 
 
-def point_job(spec: CodecSpec, noise: channel.NoisePoint,
-              plan: SweepPlan) -> SdrPoint:
-    """Job: the estimate of one grid point."""
-    return estimate_point(cached_codec(spec), noise, plan)
+def point_job(members: list) -> list:
+    """Job: the estimates of one stream group of (spec, noise, plan)."""
+    return estimate_point([(cached_codec(spec), noise, plan)
+                           for spec, noise, plan in members])
 
 
 def _available_cpus() -> int:
@@ -247,10 +281,12 @@ def run_jobs(fn, jobs: list, workers: int) -> list:
 
     n = min(workers, len(jobs), available CPUs).  With n <= 1 the jobs run
     here, in order.  Otherwise n - 1 pool processes take jobs from the front
-    of the list while this process takes them from the back, cancelling
-    each one the pool has not started, until the two meet.  If jobs raise,
-    the error of the first in job order is raised, as in the serial loop,
-    and every job not yet started is cancelled.
+    of the list while this process takes them from the back, until the two
+    meet.  The pool is handed a job only when one of its processes is free:
+    a job queued ahead in the pool could not be taken here, and this process
+    would wait for it.  If jobs raise, the error of the first in job order
+    is raised, as in the serial loop, and once the pool has failed no job
+    starts.
 
     The pool forks wherever the platform has fork, whatever Python's
     default start method: forked workers inherit this process's codecs with
@@ -263,28 +299,61 @@ def run_jobs(fn, jobs: list, workers: int) -> list:
         return [fn(*job) for job in jobs]
     # Imported here, so that serial runs never load the pool's modules.
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import threading
+    from concurrent.futures import Future, ProcessPoolExecutor, wait
 
     context = None
     if "fork" in multiprocessing.get_all_start_methods():
         context = multiprocessing.get_context("fork")
     pool = ProcessPoolExecutor(n - 1, mp_context=context)
-    try:
-        pending = [pool.submit(fn, *job) for job in jobs]
-        results = [None] * len(jobs)
-        ours = len(jobs)  # jobs[ours:] run in this process
-        error = None
-        while ours and pending[ours - 1].cancel():
-            ours -= 1
+    lock = threading.Lock()
+    pooled = {}  # job index -> future of each job handed to the pool
+    front, back = 0, len(jobs)  # jobs[front:back] are not yet taken
+    stop = False
+
+    def feed(done=None):
+        # Runs here at first, then in the pool's result thread as each pool
+        # job ends, so a free pool process gets the next job at the front.
+        nonlocal front, stop
+        with lock:
+            if done is not None and (done.cancelled()
+                                     or done.exception() is not None):
+                stop = True
+            if stop or front == back:
+                return
+            index, front = front, front + 1
             try:
-                results[ours] = fn(*jobs[ours])
+                future = pool.submit(fn, *jobs[index])
+            except RuntimeError as exc:  # a broken or shut-down pool
+                future = Future()
+                future.set_exception(exc)
+            pooled[index] = future
+        future.add_done_callback(feed)
+
+    try:
+        for _ in range(n - 1):
+            feed()
+        results = [None] * len(jobs)
+        errors = {}
+        while True:
+            with lock:
+                if stop or front == back:
+                    break
+                back -= 1
+                index = back
+            try:
+                results[index] = fn(*jobs[index])
             except Exception as exc:
-                error = exc  # the pool still runs every job before it
-                break
-        for index in range(ours):
-            results[index] = pending[index].result()
-        if error is not None:
-            raise error
+                # The jobs before it still run, so that the error raised is
+                # the first in job order.
+                errors[index] = exc
+        # Nothing is handed to the pool after the loop ends.
+        wait(list(pooled.values()))
+        # Pool jobs all come before this process's jobs.
+        for index in sorted(pooled):
+            results[index] = pooled[index].result()
+        if errors:
+            raise errors[min(errors)]
         return results
     finally:
         pool.shutdown(cancel_futures=True)
@@ -292,10 +361,13 @@ def run_jobs(fn, jobs: list, workers: int) -> list:
 
 def sweep_curves(plans, workers: int) -> list:
     """Each plan's curve: build every codec, normalize every distinct spec,
-    then run one point job per (plan, grid point) across all plans.
+    then run one point job per stream group across all plans.
 
-    A failed normalization raises CurveError naming the first plan that
-    uses the spec; with several, the first spec in plan order.
+    A stream group holds every (plan, grid point) with the same stream key;
+    groups run in the order of their first member in plan-major order, and
+    each result goes back to its plan.  A failed normalization raises
+    CurveError naming the first plan that uses the spec; with several, the
+    first spec in plan order.
     """
     grids = [grid_points(plan) for plan in plans]
     first_plan = {}
@@ -310,7 +382,16 @@ def sweep_curves(plans, workers: int) -> list:
         cached_codec(spec).normalization = rec
     jobs = [(spec, noise, plan)
             for plan, grid in zip(plans, grids) for spec, noise in grid]
-    results = iter(run_jobs(point_job, jobs, workers))
+    groups = {}
+    for index, (spec, noise, _) in enumerate(jobs):
+        groups.setdefault(_stream_key(cached_codec(spec), noise), []).append(index)
+    group_jobs = [([jobs[i] for i in group],) for group in groups.values()]
+    points = [None] * len(jobs)
+    for group, results in zip(groups.values(),
+                              run_jobs(point_job, group_jobs, workers)):
+        for index, point in zip(group, results):
+            points[index] = point
+    results = iter(points)
     return [SdrCurve(plan=plan,
                      points=tuple(itertools.islice(results, len(grid))),
                      resolved=tuple(spec for spec, _ in grid))

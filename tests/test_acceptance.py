@@ -58,7 +58,7 @@ def _point(spec, snr_db, point_index, max_trials=2_000_000):
     noise = channel.NoisePoint(sigma=channel.sigma_from_snr_db(snr_db),
                                snr_db=snr_db, master_seed=SEED,
                                point_index=point_index)
-    return estimate_point(build_codec(spec), noise, plan)
+    return estimate_point([(build_codec(spec), noise, plan)])[0]
 
 
 def _slope(curve, window):
@@ -284,7 +284,7 @@ def test_criterion_10_repetition_tracks_closed_form_everywhere():
         noise = channel.NoisePoint(sigma=channel.sigma_from_snr_db(snr),
                                    snr_db=snr, master_seed=SEED,
                                    point_index=i)
-        pt = estimate_point(codec, noise, plan)
+        pt = estimate_point([(codec, noise, plan)])[0]
         sigma_raw = pt.sigma * math.sqrt(norm.power)
         want = _clamped_repetition_distortion(sigma_raw / 2.0)
         dev = abs(pt.distortion - want) / pt.std_err

@@ -13,6 +13,11 @@ def test_sigma_snr_round_trip():
         assert channel.snr_db_from_sigma(channel.sigma_from_snr_db(snr)) == pytest.approx(snr)
     with pytest.raises(ValueError, match="float64 range"):
         channel.sigma_from_snr_db(-10000.0)
+    assert channel.sigma_from_snr_db(6472.0) > 0.0  # subnormal, still positive
+    with pytest.raises(ValueError, match="^snr 6473.0 dB rounds the noise level to zero$"):
+        channel.sigma_from_snr_db(6473.0)
+    # An array maps element by element, as the overlays need.
+    assert channel.sigma_from_snr_db(np.array([0.0, 7000.0])).tolist() == [1.0, 0.0]
 
 
 def test_sdr_db_values():
@@ -24,9 +29,9 @@ def test_sdr_db_values():
 
 
 def test_awgn_moments():
-    rng = np.random.default_rng(42)
     s = np.zeros((200000, 4))
-    y = channel.awgn(s, 0.25, rng)
+    z = np.random.default_rng(42).standard_normal(s.shape)
+    y = channel.awgn(s, 0.25, z)
     assert y.std() == pytest.approx(0.25, rel=0.01)
     assert abs(y.mean()) < 0.002
     # Dimensions uncorrelated.
@@ -35,9 +40,23 @@ def test_awgn_moments():
     assert np.all(np.abs(off) < 0.01)
 
 
+def test_awgn_leaves_the_draws_alone():
+    rng = np.random.default_rng(7)
+    s, z = rng.random((5, 3)), rng.standard_normal((5, 3))
+    kept = z.copy()
+    z.flags.writeable = False
+    y = channel.awgn(s, 0.3, z)
+    assert np.array_equal(z, kept)
+    # The same roundings as scaling the draws in place, then adding s.
+    want = kept.copy()
+    want *= 0.3
+    want += s
+    assert np.array_equal(y, want)
+
+
 def test_awgn_zero_sigma_copies():
     s = np.ones((3, 2))
-    y = channel.awgn(s, 0.0, np.random.default_rng(0))
+    y = channel.awgn(s, 0.0, np.zeros((3, 2)))
     assert np.array_equal(y, s)
     y[0, 0] = 7.0
     assert s[0, 0] == 1.0

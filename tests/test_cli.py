@@ -304,12 +304,19 @@ def test_simulate_worker_count_invariance(tmp_path):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_simulate_computes_no_batch_it_does_not_use(tmp_path, monkeypatch,
                                                     workers):
-    data = _tiny_config()
-    data["snr_grid_db"] = [10.0, 15.0, 20.0]
-    data["sweep"] = {"min_trials": 12288, "max_trials": 40960,
-                     "rel_se_target": 0.5}
-    cfg = tmp_path / "exp.json"
-    cfg.write_text(json.dumps(data))
+    # Curves of one dimension share each point's stream, and each batch of a
+    # stream is drawn once, so a run makes, per stream, as many batches as
+    # the member that needs the most.
+    alone = _tiny_config()
+    alone["snr_grid_db"] = [10.0, 15.0, 20.0]
+    alone["sweep"] = {"min_trials": 12288, "max_trials": 40960,
+                      "rel_se_target": 0.5}
+    shared = dict(alone, overlays=[], curves=[
+        {"label": "rep", "codec": {"scheme": "repetition", "n": 2}},
+        {"label": "shift", "codec": {"scheme": "shift_map", "n": 2, "a": 4}},
+        {"label": "rep3", "codec": {"scheme": "repetition", "n": 3}},
+    ])
+    shared["sweep"] = dict(alone["sweep"], rel_se_target=0.05)
     log = tmp_path / "batches.log"
     real = channel.batch_rng
 
@@ -321,12 +328,22 @@ def test_simulate_computes_no_batch_it_does_not_use(tmp_path, monkeypatch,
         return real(*key)
 
     monkeypatch.setattr(channel, "batch_rng", counting)
-    out = tmp_path / "out"
-    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
-                     "--workers", workers]) == 0
-    calls = log.read_text(encoding="utf-8").splitlines()
-    used = sum(p.trials for _, p in read_curve_csv(str(out / "rep.csv")))
-    assert len(calls) == used // harness.BATCH_SIZE
+    for name, data, groups in (("alone", alone, [["rep"]]),
+                               ("shared", shared, [["rep", "shift"], ["rep3"]])):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / name
+        log.write_text("", encoding="utf-8")
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--workers", workers]) == 0
+        calls = log.read_text(encoding="utf-8").splitlines()
+        batches = {label: [p.trials // harness.BATCH_SIZE
+                           for _, p in read_curve_csv(str(out / f"{label}.csv"))]
+                   for group in groups for label in group}
+        assert len(calls) == sum(max(batches[label][i] for label in group)
+                                 for group in groups for i in range(3))
+    # The members of the shared stream stop at different batches.
+    assert batches["rep"] != batches["shift"]
     assert multiprocessing.active_children() == []
 
 
@@ -470,13 +487,40 @@ def test_each_resolved_spec_is_normalized_once_per_process(
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_curves_bytes_do_not_depend_on_the_curves_beside_it(tmp_path, workers):
+    # Both companions read rep's streams: they share its dimension and
+    # source kind, and their point indices overlap its own, at other noise
+    # levels.
+    data = _mixed_config()
+    data["curves"] += [
+        {"label": "layered", "codec": {"scheme": "scheme2", "n": 2},
+         "snr_grid_db": [20.0, 30.0, 40.0, 50.0]},
+        {"label": "rep short", "codec": {"scheme": "repetition", "n": 2},
+         "snr_grid_db": [12.0, 18.0]},
+    ]
+    cfg = tmp_path / "all.json"
+    cfg.write_text(json.dumps(data))
+    assert cli.main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "all"), "--workers", workers]) == 0
+    for curve in data["curves"]:
+        name = cli._safe_name(curve["label"]) + ".csv"
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(dict(data, curves=[curve])))
+        out = tmp_path / f"alone-{name}"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--workers", workers]) == 0
+        assert (out / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+    assert multiprocessing.active_children() == []
+
+
 def test_a_failing_point_job_stops_the_pool(tmp_path, monkeypatch):
     real = harness.estimate_point
 
-    def estimate(codec, noise, plan, **kwargs):
-        if codec.spec.scheme == "spherical":
+    def estimate(members):
+        if any(codec.spec.scheme == "spherical" for codec, _, _ in members):
             raise RuntimeError("decoder fault")
-        return real(codec, noise, plan, **kwargs)
+        return real(members)
 
     monkeypatch.setattr(harness, "estimate_point", estimate)
     cfg = tmp_path / "mixed.json"
@@ -673,9 +717,48 @@ def test_bad_dimension_check_fails_before_any_csv(tmp_path, codec, code):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("codec,snr,code,message", [
+    # Each count below wraps in int64: negative, past the cap, and 2**64 = 0.
+    ({"scheme": "shift_map", "n": 3}, 227.0, 3,
+     "capacity error: 9988199793754836889 segments exceed the cap"),
+    ({"scheme": "shift_map", "n": 3}, 230.0, 3,
+     "capacity error: 19669134135824939536 segments exceed the cap"),
+    ({"scheme": "shift_map", "n": 3, "a": 4294967296}, 30.0, 3,
+     "capacity error: 18446744073709551616 segments exceed the cap"),
+    # Past the int64 range, and past the float64 range.
+    ({"scheme": "shift_map", "n": 2}, 500.0, 3,
+     "capacity error: 116497650446164010467328 segments exceed the cap"),
+    ({"scheme": "shift_map", "n": 2}, 6400.0, 3,
+     "capacity error: noise level 1e-320 asks for a stretch multiplier"),
+    # sigma rounds to 0.0, for a family and for a concrete code.
+    ({"scheme": "shift_map", "n": 2}, 7000.0, 2,
+     "config error: curve 'c': snr 7000.0 dB rounds the noise level to zero"),
+    ({"scheme": "repetition", "n": 2}, 7000.0, 2,
+     "config error: curve 'c': snr 7000.0 dB rounds the noise level to zero"),
+    ({"scheme": "repetition", "n": 2}, 100_000.0, 2,
+     "config error: curve 'c': snr 100000.0 dB rounds the noise level to zero"),
+])
+def test_extreme_stretches_and_noise_levels_fail_before_any_sweep(
+        tmp_path, monkeypatch, capsys, codec, snr, code, message):
+    def no_batch(*key):
+        raise AssertionError("a batch ran")
+
+    monkeypatch.setattr(channel, "batch_rng", no_batch)
+    data = dict(_tiny_config(), overlays=[], snr_grid_db=[snr],
+                curves=[{"label": "c", "codec": codec}])
+    cfg = tmp_path / "extreme.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 def test_overlays_stop_where_sigma_underflows(tmp_path):
     data = _tiny_config()
-    data["snr_grid_db"] = [10.0, 100_000.0]  # sigma is 0.0 at the top point
+    # sigma is subnormal at the top point, past where the overlays stop
+    data["snr_grid_db"] = [10.0, 6400.0]
     data["curves"][0]["fit_window_db"] = None
     data["overlays"] = [{"kind": "opta_slb", "n": 2}]
     cfg = tmp_path / "top.json"

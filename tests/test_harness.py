@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import multiprocessing
 
@@ -9,13 +10,18 @@ from scipy.integrate import quad
 from jscc import channel, harness, numrep
 from jscc.codecs import (SCHEMES, CapacityError, CodecSpec,
                          digital_depth_for_sigma, resolve_for_sigma)
-from jscc.harness import SweepPlan, estimate_point
+from jscc.harness import SdrPoint, SweepPlan, estimate_point
 
 
 def _noise_at(snr_db, master_seed=0x5EED, point_index=0):
     return channel.NoisePoint(sigma=channel.sigma_from_snr_db(snr_db),
                               snr_db=snr_db, master_seed=master_seed,
                               point_index=point_index)
+
+
+def _estimate(codec, noise, plan):
+    """estimate_point of a one-member group."""
+    return estimate_point([(codec, noise, plan)])[0]
 
 
 def clamped_repetition_distortion(sigma_eff):
@@ -38,7 +44,7 @@ def test_repetition_point_matches_quadrature():
     spec = CodecSpec(scheme="repetition", n=4)
     codec = harness.cached_codec(spec)
     plan = SweepPlan(codec=spec, snr_grid_db=(20.0,))
-    point = estimate_point(codec, _noise_at(20.0), plan)
+    point = _estimate(codec, _noise_at(20.0), plan)
     sigma_raw = point.sigma * math.sqrt(codec.normalization.power)
     want = clamped_repetition_distortion(sigma_raw / 2.0)
     assert abs(point.distortion - want) <= 3.0 * point.std_err
@@ -50,7 +56,7 @@ def test_quantization_floor_at_extreme_snr():
     spec = CodecSpec(scheme="scheme2", n=2)
     codec = harness.cached_codec(spec)
     plan = SweepPlan(codec=spec, snr_grid_db=(200.0,))
-    point = estimate_point(codec, _noise_at(200.0), plan)
+    point = _estimate(codec, _noise_at(200.0), plan)
     assert point.distortion <= 2.0 ** (-2 * (48 - 4))
     assert point.distortion > 0.0
     assert point.sdr_db > 250.0
@@ -62,8 +68,8 @@ def test_estimate_point_is_repeatable():
     codec = harness.cached_codec(spec)
     plan = SweepPlan(codec=spec, snr_grid_db=(10.0,),
                      min_trials=8_192, max_trials=16_384, rel_se_target=0.5)
-    assert estimate_point(codec, _noise_at(10.0), plan) == \
-        estimate_point(codec, _noise_at(10.0), plan)
+    assert _estimate(codec, _noise_at(10.0), plan) == \
+        _estimate(codec, _noise_at(10.0), plan)
 
 
 def test_master_seed_changes_draws():
@@ -71,8 +77,8 @@ def test_master_seed_changes_draws():
     codec = harness.cached_codec(spec)
     plan = SweepPlan(codec=spec, snr_grid_db=(10.0,),
                      min_trials=8_192, max_trials=16_384, rel_se_target=0.5)
-    a = estimate_point(codec, _noise_at(10.0, master_seed=1), plan)
-    b = estimate_point(codec, _noise_at(10.0, master_seed=2), plan)
+    a = _estimate(codec, _noise_at(10.0, master_seed=1), plan)
+    b = _estimate(codec, _noise_at(10.0, master_seed=2), plan)
     assert a.distortion != b.distortion
 
 
@@ -81,13 +87,13 @@ def test_cap_and_stop_behavior():
     codec = harness.cached_codec(spec)
     tight = SweepPlan(codec=spec, snr_grid_db=(10.0,),
                       min_trials=4_096, max_trials=12_288, rel_se_target=1e-6)
-    point = estimate_point(codec, _noise_at(10.0), tight)
+    point = _estimate(codec, _noise_at(10.0), tight)
     assert point.capped
     assert point.trials == 12_288
     assert point.std_err > tight.rel_se_target * point.distortion
     loose = SweepPlan(codec=spec, snr_grid_db=(10.0,),
                       min_trials=4_096, max_trials=12_288, rel_se_target=0.5)
-    point = estimate_point(codec, _noise_at(10.0), loose)
+    point = _estimate(codec, _noise_at(10.0), loose)
     assert not point.capped
     assert point.trials == 4_096
 
@@ -125,7 +131,7 @@ def test_sweep_single_point_matches_estimate_point():
                      min_trials=8_192, max_trials=16_384, rel_se_target=0.5)
     curve = harness.sweep_curves([plan], 1)[0]
     codec = harness.cached_codec(spec)
-    direct = estimate_point(codec, _noise_at(18.0), plan)
+    direct = _estimate(codec, _noise_at(18.0), plan)
     assert curve.points == (direct,)
 
 
@@ -217,22 +223,36 @@ def test_exact_sum_matches_fsum_on_inf_nan_and_huge(v, extra):
                  _sum_or_error(lambda a: math.fsum(a.tolist()), v))
 
 
-def _fsum_run_batch(codec, noise, norm, batch_index):
-    """The batch body with one math.fsum per list of errors: the oracle."""
-    rng = channel.batch_rng(noise.master_seed, noise.point_index, batch_index)
-    x = numrep.draw_source(codec.spec.source_kind, rng, harness.BATCH_SIZE)
-    s = codec.encode(x)
-    root_p = math.sqrt(norm.power)
-    mean = np.asarray(norm.mean)
-    s -= mean
-    s /= root_p
-    y = channel.awgn(s, noise.sigma, rng)
-    y *= root_p
-    y += mean
-    xh = codec.decode(y, noise.sigma * root_p)
-    e2 = np.subtract(xh, x)
-    np.square(e2, out=e2)
-    return math.fsum(e2.tolist()), math.fsum(np.square(e2).tolist())
+def _oracle_point(codec, noise, plan):
+    """One member's estimate, batch by batch on its own: its own stream and
+    draws, the noise added by scaling a fresh draw in place, and one
+    math.fsum per list of errors."""
+    norm = codec.normalization
+    root_p, mean = math.sqrt(norm.power), np.asarray(norm.mean)
+    sum2, sum4 = harness._Kahan(), harness._Kahan()
+    batches = -(-plan.max_trials // harness.BATCH_SIZE)
+    for batch_index in range(batches):
+        rng = channel.batch_rng(noise.master_seed, noise.point_index, batch_index)
+        x = numrep.draw_source(codec.spec.source_kind, rng, harness.BATCH_SIZE)
+        y = (codec.encode(x) - mean) / root_p
+        if noise.sigma != 0.0:
+            z = rng.standard_normal(y.shape)
+            z *= noise.sigma
+            z += y
+            y = z
+        xh = codec.decode(y * root_p + mean, noise.sigma * root_p)
+        e2 = np.square(xh - x)
+        sum2.add(math.fsum(e2.tolist()))
+        sum4.add(math.fsum(np.square(e2).tolist()))
+        trials = (batch_index + 1) * harness.BATCH_SIZE
+        d, se = harness._moments(sum2, sum4, trials)
+        stopped = trials >= plan.min_trials and (
+            d == 0.0 or se <= plan.rel_se_target * d)
+        if stopped or batch_index == batches - 1:
+            return SdrPoint(snr_db=noise.snr_db, sigma=noise.sigma,
+                            trials=trials, distortion=d, std_err=se,
+                            sdr_db=channel.sdr_db(d, codec.spec.source_variance),
+                            capped=not stopped)
 
 
 _ORACLE_SPECS = {
@@ -248,19 +268,37 @@ _ORACLE_SPECS = {
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_estimate_point_matches_the_fsum_oracle(scheme, monkeypatch):
-    # noisy, middle and clean; unbounded_wrap stays at sigma <= 1, where its
-    # decode, one inner decode per integer offset, stays cheap
-    plan = SweepPlan(codec=_ORACLE_SPECS[scheme], snr_grid_db=(5.0, 30.0, 70.0),
-                     min_trials=8_192, max_trials=8_192, rel_se_target=0.5)
-    for index, snr in enumerate(plan.snr_grid_db):
-        noise = _noise_at(snr, master_seed=1009, point_index=index)
+def test_estimate_point_matches_the_fsum_oracle(scheme):
+    # One stream group: noisy, middle and clean members with different
+    # min_trials, so they stop after 1, 2 and 3 batches, and a noiseless
+    # member beside them.  unbounded_wrap stays at sigma <= 1, where its
+    # decode, one inner decode per integer offset, stays cheap.
+    members = []
+    for snr, min_trials in ((5.0, 4_096), (30.0, 8_192), (70.0, 12_288)):
+        plan = SweepPlan(codec=_ORACLE_SPECS[scheme], snr_grid_db=(snr,),
+                         min_trials=min_trials, max_trials=16_384,
+                         rel_se_target=0.5, master_seed=1009)
+        noise = _noise_at(snr, master_seed=1009, point_index=2)
         codec = harness.cached_codec(resolve_for_sigma(plan.codec, noise.sigma))
-        got = estimate_point(codec, noise, plan)
-        with monkeypatch.context() as m:
-            m.setattr(harness, "_run_batch", _fsum_run_batch)
-            want = estimate_point(codec, noise, plan)
-        assert got == want
+        members.append((codec, noise, plan))
+    silent = channel.NoisePoint(sigma=0.0, snr_db=math.inf, master_seed=1009,
+                                point_index=2)
+    members.insert(1, (members[0][0], silent, members[0][2]))
+    got = estimate_point(members)
+    assert got == [_oracle_point(*member) for member in members]
+    assert len({p.trials for p in got}) >= 3
+
+
+def test_estimate_point_rejects_members_of_other_streams():
+    spec = CodecSpec(scheme="repetition", n=2)
+    plan = SweepPlan(codec=spec, snr_grid_db=(10.0,))
+    wide = harness.cached_codec(CodecSpec(scheme="repetition", n=3))
+    narrow = harness.cached_codec(spec)
+    for other in ((wide, _noise_at(10.0), plan),
+                  (narrow, _noise_at(10.0, point_index=1), plan),
+                  (narrow, _noise_at(10.0, master_seed=1), plan)):
+        with pytest.raises(ValueError, match="share their stream"):
+            estimate_point([(narrow, _noise_at(10.0), plan), other])
 
 
 def _square_unless_bad(i, bad):
@@ -287,6 +325,57 @@ def test_run_jobs_raises_the_first_failure_in_job_order(workers, bad):
     with pytest.raises(ValueError, match=f"^job {min(bad)}$"):
         harness.run_jobs(_square_unless_bad, jobs, workers)
     assert multiprocessing.active_children() == []
+
+
+class _StepPool:
+    """Stands in for a one-process ProcessPoolExecutor: it holds each job
+    handed to it until step() runs the oldest."""
+
+    def __init__(self, max_workers, mp_context=None):
+        assert max_workers == 1
+        self.held = []
+        _StepPool.last = self
+
+    def submit(self, fn, *args):
+        # One process: a second job held would wait behind the first.
+        assert not self.held, "the pool is handed a job while it is busy"
+        future = concurrent.futures.Future()
+        self.held.append((future, fn, args))
+        return future
+
+    def step(self):
+        future, fn, args = self.held.pop(0)
+        future.set_result(fn(*args))
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+    @staticmethod
+    def wait(futures):
+        """concurrent.futures.wait: the pool runs what it holds."""
+        while _StepPool.last.held:
+            _StepPool.last.step()
+        assert all(f.done() for f in futures)
+
+
+def test_run_jobs_hands_the_pool_a_job_only_when_it_is_free(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _StepPool)
+    monkeypatch.setattr(concurrent.futures, "wait", _StepPool.wait)
+    monkeypatch.setattr(harness, "_available_cpus", lambda: 2)
+    here = []
+
+    def job(i):
+        # A job of this process: the pool finishes one job meanwhile.
+        if _StepPool.last.held:
+            here.append(i)
+            _StepPool.last.step()
+        return i * i
+
+    assert harness.run_jobs(job, [(i,) for i in range(7)], 2) == \
+        [i * i for i in range(7)]
+    # The pool took 0 to 3 from the front, each once the one before it had
+    # ended, while this process took 6, 5 and 4 from the back.
+    assert here == [6, 5, 4]
 
 
 def test_sweep_curves_match_one_sweep_per_plan():
