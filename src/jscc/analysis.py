@@ -26,10 +26,6 @@ from . import numrep
 # Largest per-dimension noise level any curve is defined for (sigma^2 <= 1/2).
 SIGMA_MAX = 2.0 ** -0.5
 
-# Variance of the width-1 uniform source that the absolute opta_slb curve
-# is written for.
-OPTA_SOURCE_VARIANCE = 1.0 / 12.0
-
 BOUND_KINDS = (
     "opta_slb",
     "shiftmap_upper",

@@ -5,14 +5,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Master seed of a sweep, a dimension check or a stretch profile that names
+# none.
+DEFAULT_MASTER_SEED = 0x5EED
+
 
 @dataclass(frozen=True)
 class NoisePoint:
-    """One grid point of a sweep: noise level plus its seed material."""
+    """One grid point of a sweep: its noise level and its index in the
+    grid, which with the plan's master seed keys its batch streams."""
 
     sigma: float
     snr_db: float
-    master_seed: int
     point_index: int
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, channel, harness, svgplot
+from . import analysis, channel, harness, numrep, svgplot
 from .analysis import BOUND_KINDS, BoundSpec
 from .codecs import CapacityError, CodecSpec
 from .harness import SweepPlan
@@ -41,6 +41,9 @@ CSV_HEADER = "label,snr_db,sigma,trials,distortion,std_err,sdr_db,capped"
 # Box sizes of a dimension check that names none.
 DEFAULT_EPSILONS = tuple(2.0 ** -e for e in range(4, 13))
 
+# Samples per set of a dimension check that names none.
+DEFAULT_DIMENSION_SAMPLES = 200_000
+
 # Most samples per set of a dimension check, eight times the presets'
 # 250 000, and per stretch profile.  Box counting holds two sets of
 # (d, samples) points and their keys, about 2 * samples * (d + 2) * 8 bytes
@@ -48,6 +51,11 @@ DEFAULT_EPSILONS = tuple(2.0 ** -e for e in range(4, 13))
 # code and one perturbed code, about samples * (2 * d + 2) * 8 bytes.  Both
 # come on top of the encoder's own temporaries.
 MAX_DIMENSION_SAMPLES = 2_000_000
+
+# Most rows of `jscc bounds`, hundreds of times a smooth plot's need.  The
+# rows are rendered in memory before the file is written, which peaks at
+# about 250 bytes per row (25 MB at the cap).
+MAX_BOUND_POINTS = 100_000
 
 _CODEC_FIELDS = tuple(f.name for f in dataclasses.fields(CodecSpec))
 _BOUND_FIELDS = tuple(f.name for f in dataclasses.fields(BoundSpec))
@@ -149,8 +157,6 @@ def _codec_from_dict(data, where: str) -> CodecSpec:
         _require(isinstance(kwargs["b"], (list, tuple)),
                  f"{where}: b must be a list")
         kwargs["b"] = tuple(_number(v, int, f"{where}: b entry") for v in kwargs["b"])
-    if "inner" in kwargs and kwargs["inner"] is not None:
-        kwargs["inner"] = _codec_from_dict(kwargs["inner"], where + ".inner")
     try:
         return CodecSpec(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -267,7 +273,8 @@ def parse_config(data) -> Experiment:
                  and all(a > b for a, b in zip(eps, eps[1:])),
                  f"{where}: epsilons must be positive, finite and strictly decreasing")
         samples = _check_samples(
-            _number(entry.get("samples", 200_000), int, f"{where}: samples"),
+            _number(entry.get("samples", DEFAULT_DIMENSION_SAMPLES), int,
+                    f"{where}: samples"),
             f"{where}: samples")
         dims.append(DimensionJob(label=label, spec=spec, epsilons=eps,
                                  samples=samples))
@@ -469,7 +476,8 @@ def _overlay_points(job: OverlayJob, curves_by_label, all_points):
     if snr_hi <= snr_lo:
         return job.spec, []
     grid = np.linspace(snr_lo, snr_hi, 121)
-    spec, src_var = job.spec, analysis.OPTA_SOURCE_VARIANCE
+    # The absolute opta_slb curve is written for the uniform source.
+    spec, src_var = job.spec, numrep.UNIFORM_VARIANCE
     if job.anchor is not None:
         anchor_job = curves_by_label[job.anchor]
         src_var = anchor_job.spec.source_variance
@@ -511,22 +519,6 @@ def _fit_note(job: CurveJob, points) -> str:
 
 # ---------------------------------------------------------------------------
 # subcommand drivers
-
-
-def _resolve_workers(flag_value) -> int:
-    """--workers, else JSCC_WORKERS, else 1.
-
-    A run uses this process plus up to n - 1 pool processes, where n is the
-    smallest of this count, the number of jobs and the available CPUs, so a
-    huge count starts no more processes than there are CPUs.  Results never
-    depend on it.  `python -m jscc` and the `jscc` script pin OpenBLAS to one
-    thread per process, so the processes do not oversubscribe the cores.
-    """
-    value = flag_value
-    if value is None:
-        value = _number(os.environ.get("JSCC_WORKERS", 1), int, "JSCC_WORKERS")
-    _require(value >= 1, "worker count must be at least 1")
-    return value
 
 
 def _load_experiment(args) -> Experiment:
@@ -591,8 +583,7 @@ def _simulate_files(exp: Experiment, curves, estimates, workers: int) -> list:
                f"workers {workers}"]
     all_points = {}
     curves_by_label = {c.label: c for c in exp.curves}
-    for job, curve in zip(exp.curves, curves):
-        points = curve.points
+    for job, points in zip(exp.curves, curves):
         all_points[job.label] = points
         files.append((_safe_name(job.label) + ".csv",
                       _curve_csv(job.label, points)))
@@ -630,17 +621,17 @@ def _simulate_files(exp: Experiment, curves, estimates, workers: int) -> list:
 
 def run_simulate(args) -> int:
     exp = _load_experiment(args)
-    workers = _resolve_workers(args.workers)
+    _require(args.workers >= 1, "worker count must be at least 1")
     plans = [_checked_plan(job, exp) for job in exp.curves]
     # Box counting draws from its own streams and is cheap, so it goes
     # before the sweeps: a check that cannot be counted fails first.
     estimates = [_dimension_estimate(job, exp.master_seed, index)
                  for index, job in enumerate(exp.dimension_checks)]
     try:
-        curves = harness.sweep_curves(plans, workers)
+        curves = harness.sweep_curves(plans, args.workers)
     except harness.CurveError as exc:
         raise ConfigError(f"curve {exp.curves[exc.index].label!r}: {exc}") from exc
-    files = _simulate_files(exp, curves, estimates, workers)
+    files = _simulate_files(exp, curves, estimates, args.workers)
     os.makedirs(args.out, exist_ok=True)
     for name, text in files:
         _write(os.path.join(args.out, name), text)
@@ -673,6 +664,8 @@ def run_bounds(args) -> int:
     _require(0.0 < lo < hi <= analysis.SIGMA_MAX,
              f"sigma range must satisfy 0 < lo < hi <= {analysis.SIGMA_MAX:.6f}")
     _require(args.points >= 1, f"--points must be at least 1, got {args.points}")
+    _require(args.points <= MAX_BOUND_POINTS,
+             f"--points must be at most {MAX_BOUND_POINTS}, got {args.points}")
     sig = np.geomspace(lo, hi, args.points)
     vals = analysis.bound_eval(spec, sig)
     _write(args.out, _csv("kind,sigma,distortion",
@@ -730,11 +723,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=None,
                      help="override the master seed")
     sim.add_argument("--out", default=".", help="output directory")
-    sim.add_argument("--workers", type=int, default=None,
+    # python -m jscc and the jscc script pin OpenBLAS to one thread per
+    # process, so the processes do not oversubscribe the cores.
+    sim.add_argument("--workers", type=int, default=1,
                      help="processes to run the sweep jobs on: this one "
                           "plus up to N-1 more, capped by the jobs and "
                           "available CPUs; results do not depend on it "
-                          "(default: JSCC_WORKERS or 1)")
+                          "(default: 1)")
     sim.set_defaults(func=run_simulate)
 
     bnd = sub.add_parser("bounds", help="tabulate a reference curve")
@@ -756,8 +751,8 @@ def build_parser() -> argparse.ArgumentParser:
                           '\'{"scheme":"scheme1","n":2,"alpha":4}\'')
     dim.add_argument("--epsilons", default=None,
                      help="comma-separated box sizes, decreasing")
-    dim.add_argument("--samples", type=int, default=200_000)
-    dim.add_argument("--seed", type=int, default=0x5EED)
+    dim.add_argument("--samples", type=int, default=DEFAULT_DIMENSION_SAMPLES)
+    dim.add_argument("--seed", type=int, default=channel.DEFAULT_MASTER_SEED)
     dim.add_argument("--out", required=True)
     dim.set_defaults(func=run_dimension)
 
@@ -766,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
     stp.add_argument("--deltas", default=None,
                      help="comma-separated perturbations, decreasing")
     stp.add_argument("--samples", type=int, default=100_000)
-    stp.add_argument("--seed", type=int, default=0x5EED)
+    stp.add_argument("--seed", type=int, default=channel.DEFAULT_MASTER_SEED)
     stp.add_argument("--out", required=True)
     stp.set_defaults(func=run_stretch)
 

@@ -9,6 +9,7 @@ from .base import (
     CapacityError,
     NormalizationRecord,
     measure_normalization,
+    DIMS_CAP,
     K_CAP,
     SCHEMES,
     GROUPING_VARIANTS,
@@ -26,13 +27,12 @@ _BUILDERS = {
     "scheme2": Scheme2Codec,
     "type1": Type1Codec,
     "type2": Type2Codec,
+    "unbounded_wrap": UnboundedWrapCodec,
 }
 
 
 def build_codec(spec: CodecSpec) -> Codec:
     """Instantiate the codec for a fully resolved spec."""
-    if spec.scheme == "unbounded_wrap":
-        return UnboundedWrapCodec(spec, build_codec(spec.inner))
     return _BUILDERS[spec.scheme](spec)
 
 
@@ -81,6 +81,7 @@ __all__ = [
     "resolve_for_sigma",
     "digital_depth_for_sigma",
     "optimal_a",
+    "DIMS_CAP",
     "K_CAP",
     "SCHEMES",
     "GROUPING_VARIANTS",

@@ -25,6 +25,13 @@ GROUPING_VARIANTS = ("standard", "shifted")
 SEGMENT_CAP = 1 << 20
 K_CAP = 24
 
+# Most channel dimensions per source sample, well above the widest code any
+# preset, workload or test builds (6, spherical n=3).  Every array a batch or a
+# normalization holds grows with it: at the cap a 4096-row batch's noise,
+# code and received arrays take 512 KiB each, and a normalization block
+# 2 MiB; a dimension check at its most samples holds about 580 MB.
+DIMS_CAP = 16
+
 NORMALIZATION_SAMPLES = 10 ** 6
 # measure_normalization sums its fixed draws in chunks of NORMALIZATION_CHUNK
 # rows, draws NORMALIZATION_GROUP chunks at a time and folds them side by
@@ -66,7 +73,6 @@ class CodecSpec:
     k: int | None = None
     p: int = numrep.DEFAULT_PRECISION
     grouping_variant: str = "standard"
-    inner: "CodecSpec | None" = None
 
     def __post_init__(self):
         for name in ("n", "p", "a", "k"):
@@ -83,6 +89,9 @@ class CodecSpec:
             raise ValueError(f"unknown grouping variant {self.grouping_variant!r}")
         if not 1 <= self.p <= numrep.MAX_PRECISION:
             raise ValueError(f"p must be in [1, {numrep.MAX_PRECISION}]")
+        if self.dims > DIMS_CAP:
+            raise CapacityError(
+                f"{self.dims} channel dimensions exceed the cap {DIMS_CAP}")
         if self.scheme == "repetition":
             self._need_n(1)
         elif self.scheme == "shift_map":
@@ -105,7 +114,7 @@ class CodecSpec:
             self._need_n(2)
             if self.alpha is None or not self.alpha > 2.0:
                 raise ValueError("scheme1 needs a digit base alpha > 2")
-        elif self.scheme == "scheme2":
+        elif self.scheme in ("scheme2", "unbounded_wrap"):
             self._need_n(2)
         elif self.scheme in ("type1", "type2"):
             self._need_n(2)
@@ -120,16 +129,6 @@ class CodecSpec:
                 if self.scheme == "type2" and self.n * self.k > self.p:
                     raise ValueError(
                         f"type2 needs n*k <= p, got {self.n * self.k} > {self.p}")
-        elif self.scheme == "unbounded_wrap":
-            inner = self.inner
-            if inner is None:
-                inner = CodecSpec(scheme="scheme2", n=self.n, p=self.p,
-                                  grouping_variant=self.grouping_variant)
-                object.__setattr__(self, "inner", inner)
-            if inner.scheme != "scheme2":
-                raise ValueError("unbounded wrapper takes a scheme2 inner code")
-            if inner.n != self.n:
-                raise ValueError("wrapper and inner code disagree on n")
 
     def _need_n(self, lo: int) -> None:
         if self.n < lo:
@@ -159,7 +158,7 @@ class CodecSpec:
 
     @property
     def source_variance(self) -> float:
-        return 1.0 if self.scheme == "unbounded_wrap" else 1.0 / 12.0
+        return 1.0 if self.scheme == "unbounded_wrap" else numrep.UNIFORM_VARIANCE
 
     def stage_multipliers(self) -> tuple[int, ...]:
         """Per-stage multipliers of a concrete shift map."""
@@ -182,10 +181,9 @@ class CodecSpec:
             parts.append(f"alpha={self.alpha:g}")
         if self.scheme in ("type1", "type2"):
             parts.append(f"k={self.k}" if self.k is not None else "k=auto")
-        if self.scheme in ("scheme2", "type2") and self.grouping_variant != "standard":
+        if (self.scheme in ("scheme2", "type2", "unbounded_wrap")
+                and self.grouping_variant != "standard"):
             parts.append(self.grouping_variant)
-        if self.scheme == "unbounded_wrap":
-            parts.append(f"inner=({self.inner.describe()})")
         return " ".join(parts)
 
 

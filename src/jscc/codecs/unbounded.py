@@ -1,7 +1,8 @@
 """Wrapper extending a unit-interval codec to sources on the whole real line.
 
 The sample splits into an integer part and a fractional part in [-1/2, 1/2).
-The fraction goes through the inner codec, whose outputs all stay inside the
+The fraction goes through the inner codec, the scheme2 code with the
+wrapper's own n, p and grouping variant, whose outputs all stay inside the
 unit interval; after recentering them the integer part is added onto the
 first channel dimension, so that coordinate leaks at most half a unit around
 the integer.  Decoding enumerates the few integer offsets consistent with the
@@ -13,6 +14,7 @@ infinite or huge first coordinate decodes to the nearest end of that range.
 import numpy as np
 
 from .base import Codec, CodecSpec, _keep_best
+from .layered import Scheme2Codec
 from .. import numrep
 
 INTEGER_SEARCH_SIGMAS = 4.0
@@ -26,9 +28,10 @@ def integer_search_radius(sigma: float) -> float:
 
 
 class UnboundedWrapCodec(Codec):
-    def __init__(self, spec: CodecSpec, inner: Codec):
+    def __init__(self, spec: CodecSpec):
         super().__init__(spec)
-        self.inner = inner
+        self.inner = Scheme2Codec(CodecSpec("scheme2", n=spec.n, p=spec.p,
+                                            grouping_variant=spec.grouping_variant))
 
     def encode(self, x):
         x = np.asarray(x, dtype=np.float64)

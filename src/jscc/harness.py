@@ -1,27 +1,27 @@
 """Monte Carlo distortion estimation over SNR grids.
 
 Trials run in fixed batches of 4096.  Each batch draws its source samples,
-then its standard normal noise, from a stream keyed by (master seed, point
-index, batch index), and batches run and merge strictly in batch-index
-order, so the estimate is a bit-identical function of the seed, the plan and
-the codec.  Curves whose codecs share a source kind and a channel dimension
-read the same draws at the same point index; such a (curve, grid point) set
-is a stream group, and `estimate_point` draws each of its batches once for
-every member.
+then its standard normal noise, from a stream keyed by (the plan's master
+seed, point index, batch index), and batches run and merge strictly in
+batch-index order, so the estimate is a bit-identical function of the seed,
+the plan and the codec.  Curves whose codecs share a source kind and a
+channel dimension read the same draws at the same point index; such a
+(curve, grid point) set is a stream group, and `estimate_point` draws each
+of its batches once for every member.
 
 The transmitted signal is normalized to zero mean and unit average power
 using the record the codec carries (`Codec.normalization`); decoding happens
 back in the raw constellation coordinates, where the effective noise level
 is the channel sigma scaled by the measured power root.
 
-`sweep_curves` owns a sweep.  It builds every codec, then runs two job
-lists: one normalization per distinct resolved spec, whose records it hands
-to this process's codecs, then one point job per stream group.
-`run_jobs` runs each list in this process and up to workers - 1 forked pool
-processes, which inherit the codecs and their records, and merges the
-results in job order, so no number depends on the worker count.  Codecs
-live in one cache per process, so a later sweep of the same specs measures
-nothing again.
+`sweep_curves` owns a sweep and returns each plan's points.  It builds every
+codec, then runs two job lists: one normalization per distinct resolved
+spec, whose records it hands to this process's codecs, then one point job
+per stream group.  `run_jobs` runs each list in this process and up to
+workers - 1 forked pool processes, which inherit the codecs and their
+records, and merges the results in job order, so no number depends on the
+worker count.  Codecs live in one cache per process, so a later sweep of the
+same specs measures nothing again.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class SweepPlan:
     min_trials: int = 100_000
     max_trials: int = 10_000_000
     rel_se_target: float = 0.1
-    master_seed: int = 0x5EED
+    master_seed: int = channel.DEFAULT_MASTER_SEED
 
     def __post_init__(self):
         grid = tuple(float(v) for v in self.snr_grid_db)
@@ -94,13 +94,6 @@ class SweepPlan:
             raise ValueError("max_trials must be >= min_trials")
         if not 0.0 < self.rel_se_target < 1.0:
             raise ValueError("rel_se_target must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class SdrCurve:
-    plan: SweepPlan
-    points: tuple
-    resolved: tuple
 
 
 class _Kahan:
@@ -204,9 +197,9 @@ class _Estimate:
             )
 
 
-def _stream_key(codec, noise: channel.NoisePoint) -> tuple:
+def _stream_key(codec, noise: channel.NoisePoint, plan: SweepPlan) -> tuple:
     """What fixes a member's draws: members with one key share them."""
-    return (noise.master_seed, noise.point_index, codec.spec.source_kind,
+    return (plan.master_seed, noise.point_index, codec.spec.source_kind,
             codec.dims)
 
 
@@ -222,8 +215,8 @@ def estimate_point(members) -> list:
     capped flag set.
     """
     estimates = [_Estimate(*member) for member in members]
-    key = _stream_key(estimates[0].codec, estimates[0].noise)
-    if any(_stream_key(e.codec, e.noise) != key for e in estimates):
+    key = _stream_key(estimates[0].codec, estimates[0].noise, estimates[0].plan)
+    if any(_stream_key(e.codec, e.noise, e.plan) != key for e in estimates):
         raise ValueError("members of a stream group must share their stream")
     seed, point_index, kind, dims = key
     live = estimates
@@ -247,7 +240,6 @@ def grid_points(plan: SweepPlan) -> list:
         sigma = channel.sigma_from_snr_db(snr)
         points.append((resolve_for_sigma(plan.codec, sigma),
                        channel.NoisePoint(sigma=sigma, snr_db=snr,
-                                          master_seed=plan.master_seed,
                                           point_index=index)))
     return points
 
@@ -360,8 +352,9 @@ def run_jobs(fn, jobs: list, workers: int) -> list:
 
 
 def sweep_curves(plans, workers: int) -> list:
-    """Each plan's curve: build every codec, normalize every distinct spec,
-    then run one point job per stream group across all plans.
+    """Each plan's points, as a tuple of SdrPoint in grid order: build every
+    codec, normalize every distinct spec, then run one point job per stream
+    group across all plans.
 
     A stream group holds every (plan, grid point) with the same stream key;
     groups run in the order of their first member in plan-major order, and
@@ -383,8 +376,9 @@ def sweep_curves(plans, workers: int) -> list:
     jobs = [(spec, noise, plan)
             for plan, grid in zip(plans, grids) for spec, noise in grid]
     groups = {}
-    for index, (spec, noise, _) in enumerate(jobs):
-        groups.setdefault(_stream_key(cached_codec(spec), noise), []).append(index)
+    for index, (spec, noise, plan) in enumerate(jobs):
+        groups.setdefault(_stream_key(cached_codec(spec), noise, plan),
+                          []).append(index)
     group_jobs = [([jobs[i] for i in group],) for group in groups.values()]
     points = [None] * len(jobs)
     for group, results in zip(groups.values(),
@@ -392,7 +386,4 @@ def sweep_curves(plans, workers: int) -> list:
         for index, point in zip(group, results):
             points[index] = point
     results = iter(points)
-    return [SdrCurve(plan=plan,
-                     points=tuple(itertools.islice(results, len(grid))),
-                     resolved=tuple(spec for spec, _ in grid))
-            for plan, grid in zip(plans, grids)]
+    return [tuple(itertools.islice(results, len(grid))) for grid in grids]

@@ -21,6 +21,9 @@ import numpy as np
 DEFAULT_PRECISION = 48
 MAX_PRECISION = 52
 
+# Variance of the uniform source on [-1/2, 1/2).
+UNIFORM_VARIANCE = 1.0 / 12.0
+
 
 def _check_unit_range(x) -> None:
     if np.any(x < -0.5) or np.any(x >= 0.5) or not np.all(np.isfinite(x)):

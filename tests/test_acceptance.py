@@ -56,14 +56,13 @@ def _point(spec, snr_db, point_index, max_trials=2_000_000):
                      max_trials=max_trials, rel_se_target=0.1,
                      master_seed=SEED)
     noise = channel.NoisePoint(sigma=channel.sigma_from_snr_db(snr_db),
-                               snr_db=snr_db, master_seed=SEED,
-                               point_index=point_index)
+                               snr_db=snr_db, point_index=point_index)
     return estimate_point([(build_codec(spec), noise, plan)])[0]
 
 
 def _slope(curve, window):
-    snr = [p.snr_db for p in curve.points]
-    sdr = [p.sdr_db for p in curve.points]
+    snr = [p.snr_db for p in curve]
+    sdr = [p.sdr_db for p in curve]
     return slope_fit(snr, sdr, window).slope
 
 
@@ -113,7 +112,7 @@ def test_criterion_04_adaptive_shiftmap_follows_bound_shape():
     most 10 dB over two decades of sigma."""
     curve = _sweep(CodecSpec(scheme="shift_map", n=2), GRID_40_80)
     ratios = []
-    for p in curve.points:
+    for p in curve:
         shape = p.sigma ** 4 * (-math.log(p.sigma))
         ratios.append(p.distortion / shape)
     spread_db = 10.0 * math.log10(max(ratios) / min(ratios))
@@ -282,8 +281,7 @@ def test_criterion_10_repetition_tracks_closed_form_everywhere():
     worst = 0.0
     for i, snr in enumerate(grid):
         noise = channel.NoisePoint(sigma=channel.sigma_from_snr_db(snr),
-                                   snr_db=snr, master_seed=SEED,
-                                   point_index=i)
+                                   snr_db=snr, point_index=i)
         pt = estimate_point([(codec, noise, plan)])[0]
         sigma_raw = pt.sigma * math.sqrt(norm.power)
         want = _clamped_repetition_distortion(sigma_raw / 2.0)

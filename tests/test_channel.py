@@ -74,6 +74,6 @@ def test_batch_rng_reproducible_and_distinct():
 
 
 def test_noise_point_is_frozen():
-    p = channel.NoisePoint(sigma=0.1, snr_db=20.0, master_seed=1, point_index=0)
+    p = channel.NoisePoint(sigma=0.1, snr_db=20.0, point_index=0)
     with pytest.raises(AttributeError):
         p.sigma = 0.2

@@ -195,10 +195,11 @@ def test_codec_from_dict_inner_and_b():
     spec = cli._codec_from_dict(
         {"scheme": "shift_map", "n": 3, "b": [2, 3]}, "t")
     assert spec.b == (2, 3)
-    wrapped = cli._codec_from_dict(
-        {"scheme": "unbounded_wrap", "n": 2,
-         "inner": {"scheme": "scheme2", "n": 2}}, "t")
-    assert wrapped.inner.scheme == "scheme2"
+    # The wrapper builds its inner code from its own fields.
+    with pytest.raises(ConfigError, match="^t: unknown codec field 'inner'$"):
+        cli._codec_from_dict(
+            {"scheme": "unbounded_wrap", "n": 2,
+             "inner": {"scheme": "scheme2", "n": 2}}, "t")
     with pytest.raises(ConfigError):
         cli._codec_from_dict({"scheme": "repetition", "n": 2, "zap": 1}, "t")
     with pytest.raises(ConfigError):
@@ -377,17 +378,17 @@ def test_huge_worker_count_asks_for_no_more_processes_than_jobs_or_cpus(
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps(data))
     assert cli.main(["simulate", "--config", str(cfg),
-                     "--out", str(tmp_path / "flag"),
+                     "--out", str(tmp_path / "huge"),
                      "--workers", "1000000"]) == 0
-    monkeypatch.setenv("JSCC_WORKERS", "1000000")
     assert cli.main(["simulate", "--config", str(cfg),
-                     "--out", str(tmp_path / "env")]) == 0
+                     "--out", str(tmp_path / "default")]) == 0
     bound = min(3, harness._available_cpus()) - 1
     assert all(n <= bound for n in _InlinePool.requested)
-    # Both runs reach the pool whenever the bound leaves room for one.
-    assert len(_InlinePool.requested) == (2 if bound >= 1 else 0)
-    assert ((tmp_path / "flag" / "rep.csv").read_bytes()
-            == (tmp_path / "env" / "rep.csv").read_bytes())
+    # The huge count reaches the pool whenever the bound leaves room for
+    # one; the default of 1 worker never does.
+    assert len(_InlinePool.requested) == (1 if bound >= 1 else 0)
+    assert ((tmp_path / "huge" / "rep.csv").read_bytes()
+            == (tmp_path / "default" / "rep.csv").read_bytes())
     assert multiprocessing.active_children() == []
 
 
@@ -426,6 +427,41 @@ def test_pool_and_serial_runs_write_identical_csvs(tmp_path, monkeypatch):
         csvs[workers] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
     assert sorted(csvs["1"]) == ["rep.csv", "shift_auto.csv", "sphere.csv"]
     assert csvs["1"] == csvs["2"]
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_without_fork_writes_the_serial_csvs(tmp_path, monkeypatch):
+    # A platform without fork: the pool starts its processes by spawn, and
+    # they build and measure every codec they use again.
+    all_methods = multiprocessing.get_all_start_methods
+    default = multiprocessing.get_start_method(allow_none=True)
+    cfg = tmp_path / "mixed.json"
+    cfg.write_text(json.dumps(_mixed_config()))
+    assert cli.main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "w1")]) == 0
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: [m for m in all_methods() if m != "fork"])
+    methods = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    def pool(max_workers, mp_context=None):
+        methods.append((mp_context or multiprocessing).get_start_method())
+        return real_pool(max_workers, mp_context=mp_context)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(harness, "_available_cpus", lambda: 2)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "w2"), "--workers", "2"]) == 0
+    finally:
+        multiprocessing.set_start_method(default, force=True)
+    # Both job lists, normalizations and stream groups, went to the pool.
+    assert methods == ["spawn", "spawn"]
+    csvs = [{p.name: p.read_bytes() for p in (tmp_path / run).glob("*.csv")}
+            for run in ("w1", "w2")]
+    assert sorted(csvs[0]) == ["rep.csv", "shift_auto.csv", "sphere.csv"]
+    assert csvs[0] == csvs[1]
     assert multiprocessing.active_children() == []
 
 
@@ -544,20 +580,6 @@ def test_simulate_seed_override_changes_output(tmp_path):
     assert (out1 / "rep.csv").read_bytes() != (out2 / "rep.csv").read_bytes()
 
 
-def test_simulate_env_worker_default(tmp_path, monkeypatch):
-    cfg = tmp_path / "exp.json"
-    cfg.write_text(json.dumps(_tiny_config()))
-    out = tmp_path / "env"
-    monkeypatch.setenv("JSCC_WORKERS", "2")
-    assert cli.main(["simulate", "--config", str(cfg),
-                     "--out", str(out)]) == 0
-    summary = (out / "tiny_summary.txt").read_text()
-    assert "workers 2" in summary
-    monkeypatch.setenv("JSCC_WORKERS", "zebra")
-    assert cli.main(["simulate", "--config", str(cfg),
-                     "--out", str(out)]) == 2
-
-
 def test_simulate_dimension_checks(tmp_path, capsys):
     data = {
         "schema_version": 1,
@@ -674,6 +696,21 @@ def test_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as err:
         cli.main(["confabulate"])
     assert err.value.code == 2
+
+
+def test_a_wrapper_naming_an_inner_code_exits_2(tmp_path, capsys):
+    data = dict(_tiny_config(), overlays=[])
+    data["curves"][0]["codec"] = {
+        "scheme": "unbounded_wrap", "n": 2,
+        "inner": {"scheme": "scheme2", "n": 2, "p": 40,
+                  "grouping_variant": "shifted"}}
+    cfg = tmp_path / "inner.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: curves[0].codec: unknown codec field 'inner'\n")
+    assert not out.exists()
 
 
 def test_overflowing_noise_level_exits_2_naming_the_curve(tmp_path, capsys):
@@ -798,6 +835,21 @@ def test_bounds_command_matches_module(tmp_path):
                          "--points", points, "--out", str(out)]) == 2
 
 
+def test_bounds_points_cap_exits_2_before_allocating(tmp_path, monkeypatch, capsys):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a sigma grid was made past the points cap")
+
+    monkeypatch.setattr(np, "geomspace", no_grid)
+    out = tmp_path / "b.csv"
+    for over in (cli.MAX_BOUND_POINTS + 1, 10 ** 12):
+        assert cli.main(["bounds", "--kind", "opta_slb", "--n", "2",
+                         "--points", str(over), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --points must be at most "
+            f"{cli.MAX_BOUND_POINTS}, got {over}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["--kind", "opta_slb", "--scale", "nan"],
     ["--kind", "opta_slb", "--scale", "inf"],
@@ -825,6 +877,23 @@ def test_dimension_command(tmp_path, capsys):
     assert cli.main(["dimension", "--codec", "{bad", "--out", str(out)]) == 2
     assert cli.main(["dimension", "--codec", '{"scheme": "type1", "n": 2}',
                      "--out", str(out)]) == 2  # family needs a resolved k
+
+
+def test_dimension_over_the_dims_cap_exits_3_before_building(tmp_path, monkeypatch,
+                                                             capsys):
+    def no_codec(spec):
+        raise AssertionError("a codec was built past the dims cap")
+
+    monkeypatch.setattr(harness, "build_codec", no_codec)
+    out = tmp_path / "d.csv"
+    for n in (base.DIMS_CAP + 1, 10 ** 8):
+        assert cli.main(["dimension", "--codec",
+                         json.dumps({"scheme": "repetition", "n": n}),
+                         "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"capacity error: {n} channel dimensions exceed the cap "
+            f"{base.DIMS_CAP}\n")
+    assert not out.exists()
 
 
 def test_dimension_samples_cap_exits_2_before_drawing(tmp_path, monkeypatch):

@@ -3,6 +3,8 @@
 import pytest
 
 from jscc.codecs import (
+    DIMS_CAP,
+    SCHEMES,
     CapacityError,
     CodecSpec,
     build_codec,
@@ -77,6 +79,20 @@ def test_validation_errors():
         CodecSpec("scheme2", n=1)
 
 
+# The fields a spec of each scheme needs besides n.
+_NEEDED = {"spherical": {"a": 3}, "scheme1": {"alpha": 3.0}}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_channel_dimensions_are_capped(scheme):
+    fields = _NEEDED.get(scheme, {})
+    per_n = 2 if scheme == "spherical" else 1
+    assert CodecSpec(scheme, n=DIMS_CAP // per_n, **fields).dims == DIMS_CAP
+    for n in (DIMS_CAP // per_n + 1, 10 ** 8):
+        with pytest.raises(CapacityError, match="exceed the cap"):
+            CodecSpec(scheme, n=n, **fields)
+
+
 @pytest.mark.parametrize("fields", [
     {"scheme": "shift_map", "n": 2.5, "a": 3},
     {"scheme": "type1", "n": 2, "k": 2.5},
@@ -96,4 +112,6 @@ def test_describe_mentions_parameters():
     assert "a=33" in CodecSpec("shift_map", n=2, a=33).describe()
     assert "k=auto" in CodecSpec("type2", n=2).describe()
     assert "shifted" in CodecSpec("scheme2", n=2, grouping_variant="shifted").describe()
-    assert "inner=" in CodecSpec("unbounded_wrap", n=2).describe()
+    assert CodecSpec("unbounded_wrap", n=2).describe() == "unbounded_wrap n=2"
+    assert (CodecSpec("unbounded_wrap", n=3, grouping_variant="shifted").describe()
+            == "unbounded_wrap n=3 shifted")

@@ -70,16 +70,17 @@ def test_source_kind_is_gaussian():
     spec = CodecSpec("unbounded_wrap", n=2)
     assert spec.source_kind == "gaussian"
     assert spec.source_variance == 1.0
-    assert spec.inner.scheme == "scheme2"
 
 
-def test_inner_mismatch_rejected():
-    with pytest.raises(ValueError):
-        CodecSpec("unbounded_wrap", n=3,
-                  inner=CodecSpec("scheme2", n=2))
-    with pytest.raises(ValueError):
-        CodecSpec("unbounded_wrap", n=2,
-                  inner=CodecSpec("scheme1", n=2, alpha=3.0))
+def test_inner_code_takes_the_wrappers_own_fields():
+    wrap = build_codec(CodecSpec("unbounded_wrap", n=3, p=20,
+                                 grouping_variant="shifted"))
+    assert wrap.inner.spec == CodecSpec("scheme2", n=3, p=20,
+                                        grouping_variant="shifted")
+    x = np.random.default_rng(5).uniform(-0.5, 0.5, 64)
+    assert (wrap.encode(x) + 0.5).tobytes() == wrap.inner.encode(x).tobytes()
+    with pytest.raises(ValueError, match="n >= 2"):
+        CodecSpec("unbounded_wrap", n=1)
 
 
 def test_decode_of_extreme_rows_stays_on_their_side():

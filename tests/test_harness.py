@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,10 +14,9 @@ from jscc.codecs import (SCHEMES, CapacityError, CodecSpec,
 from jscc.harness import SdrPoint, SweepPlan, estimate_point
 
 
-def _noise_at(snr_db, master_seed=0x5EED, point_index=0):
+def _noise_at(snr_db, point_index=0):
     return channel.NoisePoint(sigma=channel.sigma_from_snr_db(snr_db),
-                              snr_db=snr_db, master_seed=master_seed,
-                              point_index=point_index)
+                              snr_db=snr_db, point_index=point_index)
 
 
 def _estimate(codec, noise, plan):
@@ -75,10 +75,11 @@ def test_estimate_point_is_repeatable():
 def test_master_seed_changes_draws():
     spec = CodecSpec(scheme="repetition", n=2)
     codec = harness.cached_codec(spec)
-    plan = SweepPlan(codec=spec, snr_grid_db=(10.0,),
-                     min_trials=8_192, max_trials=16_384, rel_se_target=0.5)
-    a = _estimate(codec, _noise_at(10.0, master_seed=1), plan)
-    b = _estimate(codec, _noise_at(10.0, master_seed=2), plan)
+    a, b = (_estimate(codec, _noise_at(10.0),
+                      SweepPlan(codec=spec, snr_grid_db=(10.0,),
+                                min_trials=8_192, max_trials=16_384,
+                                rel_se_target=0.5, master_seed=seed))
+            for seed in (1, 2))
     assert a.distortion != b.distortion
 
 
@@ -102,11 +103,12 @@ def test_sweep_resolves_family_per_point():
     spec = CodecSpec(scheme="type1", n=2)
     plan = SweepPlan(codec=spec, snr_grid_db=(15.0, 27.0),
                      min_trials=8_192, max_trials=16_384, rel_se_target=0.5)
-    curve = harness.sweep_curves([plan], 1)[0]
-    assert [s.k for s in curve.resolved] == [2, 4]
-    assert curve.resolved[0].k == digital_depth_for_sigma(curve.points[0].sigma)
-    assert len(curve.points) == 2
-    low, high = (harness.cached_codec(s).normalization for s in curve.resolved)
+    points = harness.sweep_curves([plan], 1)[0]
+    resolved = [spec for spec, _ in harness.grid_points(plan)]
+    assert [s.k for s in resolved] == [2, 4]
+    assert resolved[0].k == digital_depth_for_sigma(points[0].sigma)
+    assert len(points) == 2
+    low, high = (harness.cached_codec(s).normalization for s in resolved)
     assert low != high
 
 
@@ -120,27 +122,25 @@ def test_sweep_propagates_capacity_error():
 
 def test_sweep_empty_grid():
     plan = SweepPlan(codec=CodecSpec(scheme="repetition", n=2), snr_grid_db=())
-    curve = harness.sweep_curves([plan], 1)[0]
-    assert curve.points == ()
-    assert curve.resolved == ()
+    assert harness.sweep_curves([plan], 1) == [()]
+    assert harness.grid_points(plan) == []
 
 
 def test_sweep_single_point_matches_estimate_point():
     spec = CodecSpec(scheme="shift_map", n=3, a=2)
     plan = SweepPlan(codec=spec, snr_grid_db=(18.0,),
                      min_trials=8_192, max_trials=16_384, rel_se_target=0.5)
-    curve = harness.sweep_curves([plan], 1)[0]
+    points = harness.sweep_curves([plan], 1)[0]
     codec = harness.cached_codec(spec)
     direct = _estimate(codec, _noise_at(18.0), plan)
-    assert curve.points == (direct,)
+    assert points == (direct,)
 
 
 def test_sdr_grows_with_snr():
     spec = CodecSpec(scheme="repetition", n=2)
     plan = SweepPlan(codec=spec, snr_grid_db=(10.0, 20.0, 30.0),
                      min_trials=20_000, max_trials=100_000, rel_se_target=0.05)
-    curve = harness.sweep_curves([plan], 1)[0]
-    sdrs = [p.sdr_db for p in curve.points]
+    sdrs = [p.sdr_db for p in harness.sweep_curves([plan], 1)[0]]
     assert sdrs[0] < sdrs[1] < sdrs[2]
 
 
@@ -232,7 +232,7 @@ def _oracle_point(codec, noise, plan):
     sum2, sum4 = harness._Kahan(), harness._Kahan()
     batches = -(-plan.max_trials // harness.BATCH_SIZE)
     for batch_index in range(batches):
-        rng = channel.batch_rng(noise.master_seed, noise.point_index, batch_index)
+        rng = channel.batch_rng(plan.master_seed, noise.point_index, batch_index)
         x = numrep.draw_source(codec.spec.source_kind, rng, harness.BATCH_SIZE)
         y = (codec.encode(x) - mean) / root_p
         if noise.sigma != 0.0:
@@ -278,11 +278,10 @@ def test_estimate_point_matches_the_fsum_oracle(scheme):
         plan = SweepPlan(codec=_ORACLE_SPECS[scheme], snr_grid_db=(snr,),
                          min_trials=min_trials, max_trials=16_384,
                          rel_se_target=0.5, master_seed=1009)
-        noise = _noise_at(snr, master_seed=1009, point_index=2)
+        noise = _noise_at(snr, point_index=2)
         codec = harness.cached_codec(resolve_for_sigma(plan.codec, noise.sigma))
         members.append((codec, noise, plan))
-    silent = channel.NoisePoint(sigma=0.0, snr_db=math.inf, master_seed=1009,
-                                point_index=2)
+    silent = channel.NoisePoint(sigma=0.0, snr_db=math.inf, point_index=2)
     members.insert(1, (members[0][0], silent, members[0][2]))
     got = estimate_point(members)
     assert got == [_oracle_point(*member) for member in members]
@@ -296,7 +295,7 @@ def test_estimate_point_rejects_members_of_other_streams():
     narrow = harness.cached_codec(spec)
     for other in ((wide, _noise_at(10.0), plan),
                   (narrow, _noise_at(10.0, point_index=1), plan),
-                  (narrow, _noise_at(10.0, master_seed=1), plan)):
+                  (narrow, _noise_at(10.0), replace(plan, master_seed=1))):
         with pytest.raises(ValueError, match="share their stream"):
             estimate_point([(narrow, _noise_at(10.0), plan), other])
 

@@ -52,6 +52,8 @@ CAP_PATCHES = (
     ("curves", 0, {"codec": {"scheme": "type1", "n": 2}, "snr_grid_db": [160.0]}),
     ("curves", 0, {"codec": {"scheme": "type2", "n": 2, "k": 30}}),
     ("curves", 0, {"codec": {"scheme": "shift_map", "n": 3, "a": 2000}}),
+    # Terabytes per normalization block, refused before anything is built.
+    ("curves", 0, {"codec": {"scheme": "repetition", "n": 10 ** 8}}),
     ("curves", 0, {"snr_grid_db": [3000.0, 3010.0], "fit_window_db": None}),
     ("dimension_checks", 0, {"codec": {"scheme": "shift_map", "n": 3, "a": 2000}}),
     ("dimension_checks", 0, {"samples": cli.MAX_DIMENSION_SAMPLES + 1}),
