@@ -200,45 +200,46 @@ class DimensionEstimate:
 _KEY_LIMIT = 2 ** 62
 
 
-def _dense_ranks(parts):
-    """Each value's rank among the distinct values of all parts, and their count."""
-    distinct, ranks = np.unique(np.concatenate(parts), return_inverse=True)
-    return np.split(ranks, np.cumsum([len(p) for p in parts[:-1]])), distinct.size
+def _dense_ranks(values):
+    """Each value's rank among the distinct values, and their count."""
+    distinct, ranks = np.unique(values, return_inverse=True)
+    return ranks, distinct.size
 
 
-def _box_keys(columns, lo, hi, eps: float):
+def _box_keys(columns, lo, hi, eps: float, buffers):
     """One int64 key per point, equal exactly when two points share a box.
 
-    Each set arrives as C-contiguous (d, count) columns, so every pass
+    The points arrive as C-contiguous (d, count) columns, so every pass
     below reads one contiguous row.  The grid is anchored at the origin
     with half-open boxes of side eps.  Each column is divided and floored
-    in one scratch buffer, offset by its minimum over all sets
-    (floor(lo / eps)) and folded into a mixed-radix key; before the radix
-    would pass _KEY_LIMIT the partial key, and if need be the column, is
-    replaced by its dense ranks over all sets, which keeps the key exact.
+    into scratch buffers, offset by the floor of its bound lo / eps and
+    folded into a mixed-radix key; before the radix would pass _KEY_LIMIT
+    the partial key, and if need be the column, is replaced by its dense
+    ranks, which keeps the key exact.  lo and hi bound every point of the
+    set.  buffers are an int64 key, a float64 and an int64 scratch array,
+    each of at least count entries; the key is built in the first unless
+    it is ranked.  Reusing them for every box size spares each size the
+    page faults of fresh arrays.
     """
-    count = columns[0].shape[1]
-    keys = [np.zeros(count, dtype=np.int64) for _ in columns]
-    scaled = np.empty(count)
+    count = columns.shape[1]
+    key, scaled, col = (b[:count] for b in buffers)
+    key.fill(0)
     radix = 1
     for j in range(lo.size):
         offset = math.floor(lo[j] / eps)
         span = math.floor(hi[j] / eps) - offset + 1
-        cols = []
-        for c in columns:
-            np.floor(np.divide(c[j], eps, out=scaled), out=scaled)
-            col = scaled.astype(np.int64)
-            col -= offset
-            cols.append(col)
+        np.floor(np.divide(columns[j], eps, out=scaled), out=scaled)
+        col[...] = scaled
+        col -= offset
+        digit = col
         if radix * span > _KEY_LIMIT:
-            keys, radix = _dense_ranks(keys)
+            key, radix = _dense_ranks(key)
             if radix * span > _KEY_LIMIT:
-                cols, span = _dense_ranks(cols)
-        for key, col in zip(keys, cols):
-            key *= span
-            key += col
+                digit, span = _dense_ranks(col)
+        key *= span
+        key += digit
         radix *= span
-    return keys
+    return key
 
 
 def _distinct_sorted(keys) -> int:
@@ -246,9 +247,14 @@ def _distinct_sorted(keys) -> int:
     return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
-def _columns(points) -> np.ndarray:
-    """A sampler's (count, d) points as C-contiguous float64 (d, count)."""
-    return np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
+def _one_per_box(keys):
+    """The index of one point per distinct key, and the distinct keys."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    first = np.empty(ordered.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return order[first], ordered[first]
 
 
 def boxcount_dimension(sampler, epsilons, samples_per_eps: int,
@@ -261,10 +267,25 @@ def boxcount_dimension(sampler, epsilons, samples_per_eps: int,
     still moved by 2 percent or more, meaning the sampling was too sparse to
     trust.  Boxes are half-open on a grid anchored at the origin, and each
     point gets one exact int64 box key (box indices must stay below 2**62
-    in magnitude).  Each set is read as contiguous (d, count) columns.  The
-    first set's count is the number of neighbours that differ in its sorted
-    keys, plus one, and the doubled count the same over the sorted keys of
-    both sets.
+    in magnitude).  Both sets are read as one array of contiguous (d, count)
+    columns, the first set first.
+
+    The box sizes are counted from the finest to the coarsest.  A size
+    nests on the next finer size eps when it is 2**j eps for some j >= 1
+    (equal np.frexp mantissas) and below 2.  Then floor(p / (2**j eps)) =
+    floor(floor(p / eps) / 2**j) holds exactly in float64 for every
+    coordinate p: the division by 2**j eps rounds as the division by eps
+    does, scaled by 2**-j, unless the quotient is subnormal; such a
+    quotient lies in (-1, 1) and keeps its sign, which it loses only by
+    rounding to -0.0, and below 2 no nonzero p does that.  So the points
+    of one finer box share a box of the nesting size, and that size counts
+    each set from one point per box the set occupies at the finer size.
+    The finest size, and any size that does not nest, count from all
+    points.  A size whose coarser neighbour nests picks its points by an
+    argsort of each set's keys and counts the union from the distinct keys
+    of both sets; any other size sorts the first set's keys, counts the
+    neighbours that differ, plus one, and the union's the same over the
+    keys of both sets.
     """
     eps = np.asarray(epsilons, dtype=np.float64).ravel()
     if eps.size < 2:
@@ -275,12 +296,17 @@ def boxcount_dimension(sampler, epsilons, samples_per_eps: int,
         raise ValueError("box sizes must be positive and strictly decreasing")
     if samples_per_eps < 1:
         raise ValueError("samples_per_eps must be positive")
-    cols_a = _columns(sampler(samples_per_eps, rng))
-    cols_b = _columns(sampler(samples_per_eps, rng))
-    if cols_a.ndim != 2 or cols_b.shape != cols_a.shape:
+    set_a = np.asarray(sampler(samples_per_eps, rng), dtype=np.float64)
+    set_b = np.asarray(sampler(samples_per_eps, rng), dtype=np.float64)
+    if set_a.ndim != 2 or set_b.shape != set_a.shape:
         raise ValueError("sampler must return (count, d) arrays")
-    lo = np.minimum(cols_a.min(axis=1), cols_b.min(axis=1))
-    hi = np.maximum(cols_a.max(axis=1), cols_b.max(axis=1))
+    count = set_a.shape[0]
+    points = np.empty((set_a.shape[1], 2 * count))
+    points[:, :count] = set_a.T
+    points[:, count:] = set_b.T
+    # Only the joined copy stays alive while the boxes are counted.
+    del set_a, set_b
+    lo, hi = points.min(axis=1), points.max(axis=1)
     # min and max propagate NaN, and an infinity is an extreme.
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError("sampler returned non-finite points")
@@ -288,18 +314,36 @@ def boxcount_dimension(sampler, epsilons, samples_per_eps: int,
     # this bounds every box index of every epsilon.
     if np.max(np.maximum(np.abs(lo), np.abs(hi))) / eps[-1] >= _KEY_LIMIT:
         raise ValueError(f"box indices reach 2**62 at box size {float(eps[-1])!r}")
-    counts = []
+    buffers = (np.empty(2 * count, dtype=np.int64), np.empty(2 * count),
+               np.empty(2 * count, dtype=np.int64))
+    mantissas = np.frexp(eps)[0]
+    # nests[i]: box size i nests on box size i + 1.
+    nests = (mantissas[:-1] == mantissas[1:]) & (eps[:-1] < 2.0)
+    counts = [0] * eps.size
     saturated = True
-    for e in eps:
-        keys_a, keys_b = _box_keys((cols_a, cols_b), lo, hi, float(e))
-        keys_a.sort()
-        m1 = _distinct_sorted(keys_a)
-        both = np.concatenate([keys_a, keys_b])
-        both.sort()
-        m2 = _distinct_sorted(both)
+    for i in range(eps.size - 1, -1, -1):
+        if i == eps.size - 1 or not nests[i]:
+            pts, split = points, count
+        keys = _box_keys(pts, lo, hi, float(eps[i]), buffers)
+        first = keys[:split]
+        if i > 0 and nests[i - 1]:
+            reps_a, boxes_a = _one_per_box(first)
+            reps_b, boxes_b = _one_per_box(keys[split:])
+            union = np.concatenate([boxes_a, boxes_b])
+            union.sort()
+            m1, m2 = boxes_a.size, _distinct_sorted(union)
+            pts = pts.take(np.concatenate([reps_a, split + reps_b]), axis=1)
+            split = m1
+        else:
+            # Sorting the first set's keys in place leaves the union's
+            # keys the same multiset.
+            first.sort()
+            m1 = _distinct_sorted(first)
+            keys.sort()
+            m2 = _distinct_sorted(keys)
         if m2 - m1 >= 0.02 * m1:
             saturated = False
-        counts.append(m2)
+        counts[i] = m2
     x = np.log(1.0 / eps)
     y = np.log(np.asarray(counts, dtype=np.float64))
     slope, intercept = np.polyfit(x, y, 1)

@@ -1,22 +1,26 @@
 """Codec descriptions, parameter validation, and constellation normalization."""
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .. import numrep
 
-SCHEMES = (
-    "repetition",
-    "shift_map",
-    "spherical",
-    "scheme1",
-    "scheme2",
-    "type1",
-    "type2",
-    "unbounded_wrap",
-)
+# The fields each scheme reads besides n.  A spec that sets any other field
+# (a, b, alpha or k given, p or grouping_variant not the default) is refused:
+# the code would ignore it, and the spec would still be a cache key of its own.
+_SCHEME_FIELDS = {
+    "repetition": (),
+    "shift_map": ("a", "b"),
+    "spherical": ("a",),
+    "scheme1": ("alpha", "p"),
+    "scheme2": ("p", "grouping_variant"),
+    "type1": ("k", "p"),
+    "type2": ("k", "p", "grouping_variant"),
+    "unbounded_wrap": ("p", "grouping_variant"),
+}
+SCHEMES = tuple(_SCHEME_FIELDS)
 
 GROUPING_VARIANTS = ("standard", "shifted")
 
@@ -85,6 +89,13 @@ class CodecSpec:
             raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        reads = ("scheme", "n") + _SCHEME_FIELDS[self.scheme]
+        for field in fields(self):
+            if field.name in reads:
+                continue
+            value = getattr(self, field.name)
+            if value is not None if field.default is None else value != field.default:
+                raise ValueError(f"{self.scheme} does not read {field.name}")
         if self.grouping_variant not in GROUPING_VARIANTS:
             raise ValueError(f"unknown grouping variant {self.grouping_variant!r}")
         if not 1 <= self.p <= numrep.MAX_PRECISION:

@@ -375,7 +375,8 @@ _WRAP_CODEC = build_codec(CodecSpec("unbounded_wrap", n=3, p=24))
 @st.composite
 def _box_inputs(draw):
     """Two equally sized point sets with duplicates and negative coordinates,
-    or two draws of an unbounded_wrap constellation, plus box sizes."""
+    or two draws of an unbounded_wrap constellation, plus box sizes spaced
+    by powers of ten, by powers of two, or by a mix of both kinds of step."""
     count = draw(st.integers(1, 40))
     if draw(st.booleans()):
         d = draw(st.integers(1, 8))
@@ -389,8 +390,21 @@ def _box_inputs(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
         sample = constellation_sampler(_WRAP_CODEC)
         pts_a, pts_b = sample(count, rng), sample(count, rng)
-    exps = draw(st.lists(st.floats(-9.0, 2.0), min_size=2, max_size=5, unique=True))
-    eps = 10.0 ** np.sort(np.array(exps))[::-1]
+    ladder = draw(st.sampled_from(["ten", "two", "mixed"]))
+    if ladder == "ten":
+        exps = draw(st.lists(st.floats(-9.0, 2.0), min_size=2, max_size=5, unique=True))
+        eps = 10.0 ** np.sort(np.array(exps))[::-1]
+    else:
+        # A power-of-two ladder shares one mantissa, so every size below 2
+        # nests on the next finer one; a mixed ladder draws each size's
+        # mantissa, so some steps nest and some start again.
+        exps = draw(st.lists(st.integers(-30, 7), min_size=2, max_size=5, unique=True))
+        if ladder == "two":
+            mantissas = [draw(st.floats(1.0, 2.0, exclude_max=True))] * len(exps)
+        else:
+            mantissas = draw(st.lists(st.sampled_from([1.0, 1.25, 1.5]),
+                                      min_size=len(exps), max_size=len(exps)))
+        eps = np.sort(np.ldexp(mantissas, exps))[::-1]
     return pts_a, pts_b, eps
 
 
@@ -399,6 +413,14 @@ def _box_inputs(draw):
 _WIDE_POOL = np.random.default_rng(8).uniform(-1e3, 1e3, (30, 8))
 _WIDE = (_WIDE_POOL[np.arange(50) % 30], _WIDE_POOL[np.arange(50) % 7],
          np.array([1.0, 1e-3, 1e-6]))
+# The same points on a nested ladder: at 2**-10 the key passes 2**62 after
+# three columns, so the dense-rank step runs on one point per box of 2**-20.
+_WIDE_NESTED = (_WIDE[0], _WIDE[1], np.array([1.0, 2.0 ** -10, 2.0 ** -20]))
+# -0.5 and the smallest negative subnormal share box -1 of size 1, but
+# -5e-324 / 2 rounds to -0.0, so at size 2 they fall in boxes -1 and 0; the
+# size 2 must count from all points, not from one point per box of size 1.
+_UNDERFLOW_PTS = np.array([[-0.5], [-5e-324]])
+_UNDERFLOW = (_UNDERFLOW_PTS, _UNDERFLOW_PTS.copy(), np.array([2.0, 1.0]))
 # Without the dense-rank step the packed key wraps int64 at box size 1: spans
 # 2, 2**32, 2**32 put (1, 0, 0) on the key of (0, 0, 0); without ranking the
 # column, spans 513, 2**63 - 1023 put (512, low + 512 * 1023) on (0, low).
@@ -422,6 +444,8 @@ _ONE_BOX = (_ONE_BOX_POOL[:30], _ONE_BOX_POOL[30:], np.array([1.0, 0.5]))
 @settings(max_examples=200, deadline=None)
 @given(_box_inputs())
 @example(_WIDE)
+@example(_WIDE_NESTED)
+@example(_UNDERFLOW)
 @example((_WRAP_KEY, _WRAP_KEY, np.array([2.0, 1.0])))
 @example((_WRAP_COLUMN, _WRAP_COLUMN, np.array([2.0, 1.0])))
 @example(_DISJOINT)

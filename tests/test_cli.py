@@ -713,6 +713,36 @@ def test_a_wrapper_naming_an_inner_code_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+# The fields each scheme never reads, each with a value other than its
+# default, and the fields the scheme needs to build.
+_UNREAD = {
+    "repetition": ("a", "b", "alpha", "k", "p", "grouping_variant"),
+    "shift_map": ("alpha", "k", "p", "grouping_variant"),
+    "spherical": ("b", "alpha", "k", "p", "grouping_variant"),
+    "scheme1": ("a", "b", "k", "grouping_variant"),
+    "scheme2": ("a", "b", "alpha", "k"),
+    "type1": ("a", "b", "alpha", "grouping_variant"),
+    "type2": ("a", "b", "alpha"),
+    "unbounded_wrap": ("a", "b", "alpha", "k"),
+}
+_UNREAD_VALUE = {"a": 3, "b": [3], "alpha": 3.0, "k": 2, "p": 40,
+                 "grouping_variant": "shifted"}
+_NEEDS = {"spherical": {"a": 3}, "scheme1": {"alpha": 3.0}}
+
+
+@pytest.mark.parametrize("scheme, field", [
+    (scheme, field) for scheme, unread in _UNREAD.items() for field in unread])
+def test_a_field_the_scheme_never_reads_exits_2(scheme, field, tmp_path, capsys):
+    codec = dict({"scheme": scheme, "n": 2}, **_NEEDS.get(scheme, {}))
+    cli._codec_from_dict(codec, "t")
+    codec[field] = _UNREAD_VALUE[field]
+    out = tmp_path / "dim.csv"
+    assert cli.main(["dimension", "--codec", json.dumps(codec), "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"config error: --codec: {scheme} does not read {field}\n")
+    assert not out.exists()
+
+
 def test_overflowing_noise_level_exits_2_naming_the_curve(tmp_path, capsys):
     data = _tiny_config()
     data["snr_grid_db"] = [-10000.0]  # sigma = 10**500
