@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,20 +26,19 @@ from . import numrep
 # Largest per-dimension noise level any curve is defined for (sigma^2 <= 1/2).
 SIGMA_MAX = 2.0 ** -0.5
 
-BOUND_KINDS = (
-    "opta_slb",
-    "shiftmap_upper",
-    "shiftmap_lower",
-    "scheme1_upper",
-    "scheme2_upper",
-    "hda_lower",
-    "type1_upper",
-    "type2_upper",
-)
-
-_NEEDS_ALPHA = ("scheme1_upper",)
-_NEEDS_SPLIT = ("hda_lower",)
-_NEEDS_RATE = ("scheme2_upper", "type2_upper")
+# The shape fields each curve kind reads besides n and scale; a spec that
+# sets any other (alpha or m given, rate not 1) is refused.
+_KIND_FIELDS = {
+    "opta_slb": (),
+    "shiftmap_upper": (),
+    "shiftmap_lower": (),
+    "scheme1_upper": ("alpha",),
+    "scheme2_upper": ("rate",),
+    "hda_lower": ("m",),
+    "type1_upper": (),
+    "type2_upper": ("rate",),
+}
+BOUND_KINDS = tuple(_KIND_FIELDS)
 
 
 def scheme1_beta(n: int, alpha: float) -> float:
@@ -53,13 +52,13 @@ def scheme1_beta(n: int, alpha: float) -> float:
 class BoundSpec:
     """One reference curve: a kind tag plus its shape parameters.
 
-    kind      one of BOUND_KINDS
+    kind      one of BOUND_KINDS; _KIND_FIELDS is the one place that
+              states which of alpha, m and rate each kind reads
     n         bandwidth expansion (channel dims per source sample)
-    alpha     digit base, scheme1_upper only
-    m         analog dims of a hybrid split, hda_lower only (1..n)
+    alpha     digit base
+    m         analog dims of a hybrid split (1..n)
     scale     multiplicative constant, fitted via anchored()
-    rate      coefficient of the sqrt(-log2 sigma) exponent term,
-              scheme2_upper / type2_upper only
+    rate      coefficient of the sqrt(-log2 sigma) exponent term
     """
 
     kind: str
@@ -82,27 +81,28 @@ class BoundSpec:
             raise ValueError("n must be finite and >= 1")
         if not (0.0 < self.scale < math.inf):
             raise ValueError("scale must be positive and finite")
-        if self.kind in _NEEDS_ALPHA:
-            if self.alpha is None:
-                raise ValueError(f"{self.kind} requires alpha")
-            if not (2.0 < self.alpha < math.inf):
-                raise ValueError("alpha must be finite and exceed 2")
-        if self.kind in _NEEDS_SPLIT:
-            if self.m is None:
-                raise ValueError(f"{self.kind} requires m")
-            if not 1 <= self.m <= self.n:
-                raise ValueError("m must lie in 1..n")
-        if self.kind in _NEEDS_RATE and not (0.0 < self.rate < math.inf):
+        reads = _KIND_FIELDS[self.kind]
+        for name in ("alpha", "m"):
+            if name in reads and getattr(self, name) is None:
+                raise ValueError(f"{self.kind} requires {name}")
+        if "alpha" in reads and not (2.0 < self.alpha < math.inf):
+            raise ValueError("alpha must be finite and exceed 2")
+        if "m" in reads and not 1 <= self.m <= self.n:
+            raise ValueError("m must lie in 1..n")
+        if "rate" in reads and not (0.0 < self.rate < math.inf):
             raise ValueError("rate must be positive and finite")
+        for field in fields(self):
+            if field.name in ("kind", "n", "scale") + reads:
+                continue
+            value = getattr(self, field.name)
+            if value is not None if field.default is None else value != field.default:
+                raise ValueError(f"{self.kind} does not read {field.name}")
 
     def describe(self) -> str:
         bits = [self.kind, f"n={self.n}"]
-        if self.kind in _NEEDS_ALPHA:
-            bits.append(f"alpha={self.alpha:g}")
-        if self.kind in _NEEDS_SPLIT:
-            bits.append(f"m={self.m}")
-        if self.kind in _NEEDS_RATE:
-            bits.append(f"rate={self.rate:g}")
+        for name in _KIND_FIELDS[self.kind]:
+            value = getattr(self, name)
+            bits.append(f"m={value}" if name == "m" else f"{name}={value:g}")
         return " ".join(bits)
 
 

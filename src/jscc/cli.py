@@ -226,6 +226,10 @@ def parse_config(data) -> Experiment:
     min_trials = _number(sweep_cfg["min_trials"], int, "sweep.min_trials")
     max_trials = _number(sweep_cfg["max_trials"], int, "sweep.max_trials")
     rel_se = _number(sweep_cfg["rel_se_target"], float, "sweep.rel_se_target")
+    try:
+        harness.check_sweep_settings(min_trials, max_trials, rel_se)
+    except ValueError as exc:
+        raise ConfigError(f"sweep: {exc}") from exc
     master_seed = _check_seed(
         _number(data.get("master_seed", _SWEEP_DEFAULTS["master_seed"]), int,
                 "master_seed"), "master_seed")
@@ -477,7 +481,7 @@ def _overlay_points(job: OverlayJob, curves_by_label, all_points):
         return job.spec, []
     grid = np.linspace(snr_lo, snr_hi, 121)
     # The absolute opta_slb curve is written for the uniform source.
-    spec, src_var = job.spec, numrep.UNIFORM_VARIANCE
+    spec, src_var = job.spec, numrep.SOURCE_VARIANCE["uniform"]
     if job.anchor is not None:
         anchor_job = curves_by_label[job.anchor]
         src_var = anchor_job.spec.source_variance

@@ -13,6 +13,7 @@ from .base import (
     K_CAP,
     SCHEMES,
     GROUPING_VARIANTS,
+    _SCHEMES,
 )
 from .linear import RepetitionCodec, ShiftMapCodec, SphericalCodec, optimal_a
 from .layered import Scheme1Codec, Scheme2Codec
@@ -37,10 +38,11 @@ def build_codec(spec: CodecSpec) -> Codec:
 
 
 def digital_depth_for_sigma(sigma: float) -> int:
-    """Digital layer depth matched to the noise level, floor(-log2 sigma)."""
-    if not 0.0 < sigma < 1.0:
-        raise ValueError(f"sigma must be in (0, 1), got {sigma}")
-    k = int(math.floor(-math.log2(sigma)))
+    """Digital layer depth matched to the noise level, floor(-log2 sigma),
+    and 1 for every sigma above 1/2."""
+    if not sigma > 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    k = int(math.floor(-math.log2(min(sigma, 1.0))))
     if k > K_CAP:
         raise CapacityError(
             f"noise level {sigma} asks for digital depth {k} > {K_CAP} "
@@ -57,18 +59,15 @@ def resolve_for_sigma(spec: CodecSpec, sigma: float) -> CodecSpec:
     """
     if not spec.is_family:
         return spec
-    if spec.scheme == "shift_map":
+    if "a" in _SCHEMES[spec.scheme].open:
         a, _ = optimal_a(sigma, spec.n)
         return replace(spec, a=a)
-    if spec.scheme in ("type1", "type2"):
-        k = digital_depth_for_sigma(sigma)
-        slack = 1 if spec.scheme == "type1" else 0
-        if spec.n * k - slack > spec.p:
-            raise CapacityError(
-                f"noise level {sigma} asks for {k} digital bits on each of "
-                f"{spec.n} dimensions; only {spec.p} tracked bits available")
-        return replace(spec, k=k)
-    raise ValueError(f"cannot resolve scheme {spec.scheme!r}")
+    k = digital_depth_for_sigma(sigma)
+    if spec.digital_bits(k) > spec.p:
+        raise CapacityError(
+            f"noise level {sigma} asks for {k} digital bits on each of "
+            f"{spec.n} dimensions; only {spec.p} tracked bits available")
+    return replace(spec, k=k)
 
 
 __all__ = [

@@ -1,26 +1,31 @@
 """Codec descriptions, parameter validation, and constellation normalization."""
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .. import numrep
 
-# The fields each scheme reads besides n.  A spec that sets any other field
-# (a, b, alpha or k given, p or grouping_variant not the default) is refused:
-# the code would ignore it, and the spec would still be a cache key of its own.
-_SCHEME_FIELDS = {
-    "repetition": (),
-    "shift_map": ("a", "b"),
-    "spherical": ("a",),
-    "scheme1": ("alpha", "p"),
-    "scheme2": ("p", "grouping_variant"),
-    "type1": ("k", "p"),
-    "type2": ("k", "p", "grouping_variant"),
-    "unbounded_wrap": ("p", "grouping_variant"),
+# Each scheme's facts, stated once: the fields it reads besides n (a spec
+# setting any other is refused, as the code would ignore it but the spec
+# would still be a cache key of its own), its least n, the fields a family
+# leaves unset for the harness to choose per noise level, the fields it
+# must be given, its channel uses per unit of n, and its source kind.
+_Scheme = namedtuple("_Scheme", "reads least_n open needs dims source",
+                     defaults=((), 2, (), (), 1, "uniform"))
+_SCHEMES = {
+    "repetition": _Scheme(least_n=1),
+    "shift_map": _Scheme(reads=("a", "b"), open=("a", "b")),
+    "spherical": _Scheme(reads=("a",), needs=("a",), dims=2),
+    "scheme1": _Scheme(reads=("alpha", "p"), needs=("alpha",)),
+    "scheme2": _Scheme(reads=("p", "grouping_variant")),
+    "type1": _Scheme(reads=("k", "p"), open=("k",)),
+    "type2": _Scheme(reads=("k", "p", "grouping_variant"), open=("k",)),
+    "unbounded_wrap": _Scheme(reads=("p", "grouping_variant"), source="gaussian"),
 }
-SCHEMES = tuple(_SCHEME_FIELDS)
+SCHEMES = tuple(_SCHEMES)
 
 GROUPING_VARIANTS = ("standard", "shifted")
 
@@ -63,10 +68,10 @@ class CapacityError(RuntimeError):
 
 @dataclass(frozen=True)
 class CodecSpec:
-    """Declarative description of one code.
-
-    a=None on shift_map, or k=None on type1/type2, declares a family whose
-    design parameter is chosen per noise level by the sweep harness.
+    """Declarative description of one code; _SCHEMES is the one place that
+    states its scheme's fields.  A family (a and b unset on shift_map, k
+    unset on type1/type2) has its design parameter chosen per noise level
+    by the sweep harness.
     """
 
     scheme: str
@@ -89,9 +94,9 @@ class CodecSpec:
             raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        reads = ("scheme", "n") + _SCHEME_FIELDS[self.scheme]
+        scheme = _SCHEMES[self.scheme]
         for field in fields(self):
-            if field.name in reads:
+            if field.name in ("scheme", "n") + scheme.reads:
                 continue
             value = getattr(self, field.name)
             if value is not None if field.default is None else value != field.default:
@@ -103,73 +108,58 @@ class CodecSpec:
         if self.dims > DIMS_CAP:
             raise CapacityError(
                 f"{self.dims} channel dimensions exceed the cap {DIMS_CAP}")
-        if self.scheme == "repetition":
-            self._need_n(1)
-        elif self.scheme == "shift_map":
-            self._need_n(2)
-            if self.a is not None and self.b is not None:
+        if self.n < scheme.least_n:
+            raise ValueError(f"{self.scheme} needs n >= {scheme.least_n}, got {self.n}")
+        # Each field the scheme reads meets its rule once, if given or needed.
+        for name in scheme.reads:
+            if getattr(self, name) is None and name not in scheme.needs:
+                continue
+            if name == "a" and self.a is None:
+                raise ValueError(f"{self.scheme} code needs the multiplier a")
+            if name == "a" and self.b is not None:
                 raise ValueError("give either a or per-stage b, not both")
-            if self.a is not None:
-                self._check_multiplier(self.a)
-            if self.b is not None:
-                if len(self.b) != self.n - 1:
-                    raise ValueError(f"b needs {self.n - 1} entries, got {len(self.b)}")
-                for m in self.b:
-                    self._check_multiplier(m)
-        elif self.scheme == "spherical":
-            self._need_n(2)
-            if self.a is None:
-                raise ValueError("spherical code needs the multiplier a")
-            self._check_multiplier(self.a)
-        elif self.scheme == "scheme1":
-            self._need_n(2)
-            if self.alpha is None or not self.alpha > 2.0:
-                raise ValueError("scheme1 needs a digit base alpha > 2")
-        elif self.scheme in ("scheme2", "unbounded_wrap"):
-            self._need_n(2)
-        elif self.scheme in ("type1", "type2"):
-            self._need_n(2)
-            if self.k is not None:
+            if name == "b" and len(self.b) != self.n - 1:
+                raise ValueError(f"b needs {self.n - 1} entries, got {len(self.b)}")
+            if name in ("a", "b"):
+                for m in self.stage_multipliers():
+                    if not _is_integer(m) or m < 2:
+                        raise ValueError(
+                            f"stage multiplier must be an integer >= 2, got {m!r}")
+            if name == "alpha" and (self.alpha is None or not self.alpha > 2.0):
+                raise ValueError(f"{self.scheme} needs a digit base alpha > 2")
+            if name == "k":
                 if self.k < 1:
                     raise ValueError(f"k must be >= 1, got {self.k}")
                 if self.k > K_CAP:
                     raise CapacityError(f"k={self.k} exceeds the cap {K_CAP}")
-                if self.scheme == "type1" and self.n * self.k - 1 > self.p:
+                bits = self.digital_bits(self.k)
+                if bits > self.p:
+                    need = "n*k" if bits == self.n * self.k else "n*k-1"
                     raise ValueError(
-                        f"type1 needs n*k-1 <= p, got {self.n * self.k - 1} > {self.p}")
-                if self.scheme == "type2" and self.n * self.k > self.p:
-                    raise ValueError(
-                        f"type2 needs n*k <= p, got {self.n * self.k} > {self.p}")
+                        f"{self.scheme} needs {need} <= p, got {bits} > {self.p}")
 
-    def _need_n(self, lo: int) -> None:
-        if self.n < lo:
-            raise ValueError(f"{self.scheme} needs n >= {lo}, got {self.n}")
-
-    @staticmethod
-    def _check_multiplier(m) -> None:
-        if not _is_integer(m) or m < 2:
-            raise ValueError(f"stage multiplier must be an integer >= 2, got {m!r}")
+    def digital_bits(self, k: int) -> int:
+        """Source bits a type1 or type2 digital layer of depth k takes: k per
+        dimension, less the one type1 leaves to its analog tail."""
+        return self.n * k - (self.scheme == "type1")
 
     @property
     def dims(self) -> int:
         """Channel uses per source sample."""
-        return 2 * self.n if self.scheme == "spherical" else self.n
+        return _SCHEMES[self.scheme].dims * self.n
 
     @property
     def is_family(self) -> bool:
-        if self.scheme == "shift_map":
-            return self.a is None and self.b is None
-        if self.scheme in ("type1", "type2"):
-            return self.k is None
-        return False
+        unset = _SCHEMES[self.scheme].open
+        return bool(unset) and all(getattr(self, name) is None for name in unset)
 
     @property
     def source_kind(self) -> str:
-        return "gaussian" if self.scheme == "unbounded_wrap" else "uniform"
+        return _SCHEMES[self.scheme].source
 
     @property
     def source_variance(self) -> float:
-        return 1.0 if self.scheme == "unbounded_wrap" else numrep.UNIFORM_VARIANCE
+        return numrep.SOURCE_VARIANCE[self.source_kind]
 
     def stage_multipliers(self) -> tuple[int, ...]:
         """Per-stage multipliers of a concrete shift map."""
@@ -180,8 +170,9 @@ class CodecSpec:
         return (self.a,) * (self.n - 1)
 
     def describe(self) -> str:
+        reads = _SCHEMES[self.scheme].reads
         parts = [self.scheme, f"n={self.n}"]
-        if self.scheme in ("shift_map", "spherical"):
+        if "a" in reads:
             if self.b is not None:
                 parts.append("b=" + "x".join(str(m) for m in self.b))
             elif self.a is not None:
@@ -190,10 +181,9 @@ class CodecSpec:
                 parts.append("a=auto")
         if self.alpha is not None:
             parts.append(f"alpha={self.alpha:g}")
-        if self.scheme in ("type1", "type2"):
+        if "k" in reads:
             parts.append(f"k={self.k}" if self.k is not None else "k=auto")
-        if (self.scheme in ("scheme2", "type2", "unbounded_wrap")
-                and self.grouping_variant != "standard"):
+        if self.grouping_variant != "standard":
             parts.append(self.grouping_variant)
         return " ".join(parts)
 

@@ -77,7 +77,7 @@ class Type1Codec(Codec):
     def __init__(self, spec: CodecSpec):
         super().__init__(spec)
         n, k = spec.n, spec.k
-        self.m = n * k - 1
+        self.m = spec.digital_bits(k)
         self.w = protection_weights(k)
         self.seg = math.ldexp(1.0, -(k + 1))
         self.full_table = PatternTable(self.w)
@@ -123,7 +123,7 @@ class Type2Codec(Codec):
     def __init__(self, spec: CodecSpec):
         super().__init__(spec)
         n, k, p = spec.n, spec.k, spec.p
-        self.m = n * k
+        self.m = spec.digital_bits(k)
         self.w = protection_weights(k)
         self.seg = math.ldexp(1.0, -(k + 1))
         self.streams = build_streams(n, p - self.m, spec.grouping_variant)

@@ -88,12 +88,17 @@ class SweepPlan:
             raise ValueError("snr grid entries must be finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr grid must be strictly increasing")
-        if self.min_trials < 1:
-            raise ValueError("min_trials must be positive")
-        if self.max_trials < self.min_trials:
-            raise ValueError("max_trials must be >= min_trials")
-        if not 0.0 < self.rel_se_target < 1.0:
-            raise ValueError("rel_se_target must lie in (0, 1)")
+        check_sweep_settings(self.min_trials, self.max_trials, self.rel_se_target)
+
+
+def check_sweep_settings(min_trials, max_trials, rel_se_target) -> None:
+    """Refuse trial bounds and a precision target no sweep can stop on."""
+    if min_trials < 1:
+        raise ValueError("min_trials must be positive")
+    if max_trials < min_trials:
+        raise ValueError("max_trials must be >= min_trials")
+    if not 0.0 < rel_se_target < 1.0:
+        raise ValueError("rel_se_target must lie in (0, 1)")
 
 
 class _Kahan:

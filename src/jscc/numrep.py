@@ -21,9 +21,6 @@ import numpy as np
 DEFAULT_PRECISION = 48
 MAX_PRECISION = 52
 
-# Variance of the uniform source on [-1/2, 1/2).
-UNIFORM_VARIANCE = 1.0 / 12.0
-
 
 def _check_unit_range(x) -> None:
     if np.any(x < -0.5) or np.any(x >= 0.5) or not np.all(np.isfinite(x)):
@@ -86,6 +83,10 @@ def split_integer_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x1 = np.where(high, x1 + 1, x1)
     x2 = np.where(high, x2 - 1.0, x2)
     return x1, x2
+
+
+# Variance of each source kind draw_source draws.
+SOURCE_VARIANCE = {"uniform": 1.0 / 12.0, "gaussian": 1.0}
 
 
 def draw_source(kind: str, rng: np.random.Generator, size=None) -> np.ndarray:

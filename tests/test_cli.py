@@ -162,6 +162,12 @@ def test_parse_config_happy_path():
      "overlays[1]: label must be a non-empty string"),
     (_with_check(samples=cli.MAX_DIMENSION_SAMPLES + 1),
      f"dimension_checks[0]: samples must be at most {cli.MAX_DIMENSION_SAMPLES}"),
+    # Sweep settings are checked once for the config, curves or not.
+    (lambda d: d["sweep"].update(min_trials=0), "sweep: min_trials must be positive"),
+    (lambda d: (_with_check()(d), d.update(
+        curves=[], overlays=[],
+        sweep={"min_trials": -5, "max_trials": -10, "rel_se_target": 7.0})),
+     "sweep: min_trials must be positive"),
 ])
 def test_parse_config_rejections(mutate, fragment):
     data = _tiny_config()
@@ -622,14 +628,6 @@ def test_exit_codes(tmp_path):
     cap_path.write_text(json.dumps(cap))
     assert cli.main(["simulate", "--config", str(cap_path),
                      "--out", str(unmade)]) == 3
-    zero = dict(cap)
-    zero["curves"] = [{"label": "flat",
-                       "codec": {"scheme": "type1", "n": 2},
-                       "snr_grid_db": [0.0]}]
-    zero_path = tmp_path / "zero.json"
-    zero_path.write_text(json.dumps(zero))
-    assert cli.main(["simulate", "--config", str(zero_path),
-                     "--out", str(unmade)]) == 2
     assert not unmade.exists()
     good = tmp_path / "good.json"
     good.write_text(json.dumps(_tiny_config()))
@@ -741,6 +739,79 @@ def test_a_field_the_scheme_never_reads_exits_2(scheme, field, tmp_path, capsys)
     assert capsys.readouterr() == (
         "", f"config error: --codec: {scheme} does not read {field}\n")
     assert not out.exists()
+
+
+# The shape fields each bound kind never reads, each with a value a kind
+# that reads it accepts, and the fields each kind needs.
+_BOUND_UNREAD = {
+    "opta_slb": ("alpha", "m", "rate"),
+    "shiftmap_upper": ("alpha", "m", "rate"),
+    "shiftmap_lower": ("alpha", "m", "rate"),
+    "scheme1_upper": ("m", "rate"),
+    "scheme2_upper": ("alpha", "m"),
+    "hda_lower": ("alpha", "rate"),
+    "type1_upper": ("alpha", "m", "rate"),
+    "type2_upper": ("alpha", "m"),
+}
+_BOUND_UNREAD_VALUE = {"alpha": 3.0, "m": 1, "rate": 2.0}
+_BOUND_NEEDS = {"scheme1_upper": {"alpha": 4.0}, "hda_lower": {"m": 1}}
+
+
+@pytest.mark.parametrize("kind, field", [
+    (kind, field) for kind, unread in _BOUND_UNREAD.items() for field in unread])
+def test_a_field_the_bound_kind_never_reads_exits_2(kind, field, tmp_path, capsys):
+    shape = dict(_BOUND_NEEDS.get(kind, {}))
+    analysis.BoundSpec(kind, 2, **shape)
+    shape[field] = _BOUND_UNREAD_VALUE[field]
+    out = tmp_path / "b.csv"
+    flags = [arg for name, value in shape.items() for arg in (f"--{name}", str(value))]
+    assert cli.main(["bounds", "--kind", kind, "--n", "2", *flags,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"config error: {kind} does not read {field}\n")
+    assert not out.exists()
+    overlay = dict({"kind": kind, "n": 2}, **shape)
+    if kind != "opta_slb":
+        overlay["anchor"] = "rep"
+    cfg = tmp_path / "overlay.json"
+    cfg.write_text(json.dumps(dict(_tiny_config(), overlays=[overlay])))
+    run = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(run)]) == 2
+    assert capsys.readouterr() == (
+        "", f"config error: overlays[0]: {kind} does not read {field}\n")
+    assert not run.exists()
+
+
+def test_a_type_family_runs_at_0_db_and_below(tmp_path):
+    data = dict(_tiny_config(), overlays=[], snr_grid_db=[-5.0, 0.0, 5.0],
+                curves=[{"label": "t1", "codec": {"scheme": "type1", "n": 2}}])
+    cfg = tmp_path / "loud.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "t1.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[1]) for row in rows] == [-5.0, 0.0, 5.0]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_constellation_with_no_spread_exits_2(tmp_path, monkeypatch, capsys,
+                                                 workers):
+    monkeypatch.setattr(harness, "_codec_cache", {})
+    # At p=1 the one digit weight is 1/alpha = 1e-200, whose square is 0.
+    data = dict(_tiny_config(), overlays=[], curves=[
+        {"label": "rep", "codec": {"scheme": "repetition", "n": 2}},
+        {"label": "huge base",
+         "codec": {"scheme": "scheme1", "n": 2, "alpha": 1e200, "p": 1}}])
+    cfg = tmp_path / "flat.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--workers", workers]) == 2
+    assert capsys.readouterr().err == (
+        "config error: curve 'huge base': constellation has no spread; "
+        "nothing to normalize\n")
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_overflowing_noise_level_exits_2_naming_the_curve(tmp_path, capsys):

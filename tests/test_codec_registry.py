@@ -1,5 +1,7 @@
 """Codec construction, validation, and per-noise-level family resolution."""
 
+import math
+
 import pytest
 
 from jscc.codecs import (
@@ -46,6 +48,11 @@ def test_digital_depth_band():
     assert digital_depth_for_sigma(0.9 * 2.0 ** -3) == 3
     assert digital_depth_for_sigma(0.3) == 1
     assert digital_depth_for_sigma(0.7) == 1  # clamp at the shallow end
+    assert digital_depth_for_sigma(1.0) == 1  # 0 dB
+    assert digital_depth_for_sigma(10 ** (5 / 20)) == 1  # -5 dB
+    for sigma in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            digital_depth_for_sigma(sigma)
     with pytest.raises(CapacityError):
         digital_depth_for_sigma(2.0 ** -25.5)
 
