@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import numrep
+from . import numrep, schema
 
 # Largest per-dimension noise level any curve is defined for (sigma^2 <= 1/2).
 SIGMA_MAX = 2.0 ** -0.5
@@ -52,6 +52,9 @@ def scheme1_beta(n: int, alpha: float) -> float:
 class BoundSpec:
     """One reference curve: a kind tag plus its shape parameters.
 
+    schema.TABLES["overlay"] states each field's type, checked (and an
+    integral float made an int) on construction.
+
     kind      one of BOUND_KINDS; _KIND_FIELDS is the one place that
               states which of alpha, m and rate each kind reads
     n         bandwidth expansion (channel dims per source sample)
@@ -69,16 +72,13 @@ class BoundSpec:
     rate: float = 1.0
 
     def __post_init__(self):
+        schema.check_fields(self, "overlay")
         if self.kind not in BOUND_KINDS:
             raise ValueError(f"unknown curve kind {self.kind!r}")
-        for name in ("n", "alpha", "m", "scale", "rate"):
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         # Each check is written so that NaN fails it: every comparison with
         # NaN is False.
-        if not 1 <= self.n < math.inf:
-            raise ValueError("n must be finite and >= 1")
         if not (0.0 < self.scale < math.inf):
             raise ValueError("scale must be positive and finite")
         reads = _KIND_FIELDS[self.kind]
@@ -389,9 +389,10 @@ def stretch_profile(codec, deltas, sample_count: int,
     d = np.asarray(deltas, dtype=np.float64).ravel()
     if d.size < 2:
         raise ValueError("need at least two perturbation sizes")
-    if np.any(d <= 0.0) or np.any(d > 1e-2):
+    # Each check is written so that NaN fails it.
+    if not np.all((d > 0.0) & (d <= 1e-2)):
         raise ValueError("perturbations must lie in (0, 1e-2]")
-    if np.any(np.diff(d) >= 0.0):
+    if not np.all(np.diff(d) < 0.0):
         raise ValueError("perturbations must be strictly decreasing")
     if sample_count < 10 ** 5:
         raise ValueError("sample_count must be at least 1e5")

@@ -29,12 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, channel, harness, numrep, svgplot
+from . import analysis, channel, harness, numrep, schema, svgplot
 from .analysis import BOUND_KINDS, BoundSpec
 from .codecs import CapacityError, CodecSpec
 from .harness import SweepPlan
-
-SCHEMA_VERSION = 1
 
 CSV_HEADER = "label,snr_db,sigma,trials,distortion,std_err,sdr_db,capped"
 
@@ -57,8 +55,6 @@ MAX_DIMENSION_SAMPLES = 2_000_000
 # about 250 bytes per row (25 MB at the cap).
 MAX_BOUND_POINTS = 100_000
 
-_CODEC_FIELDS = tuple(f.name for f in dataclasses.fields(CodecSpec))
-_BOUND_FIELDS = tuple(f.name for f in dataclasses.fields(BoundSpec))
 _SWEEP_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SweepPlan)}
 
 # SNR outside these puts sigma outside the reference curves' domain: above
@@ -115,26 +111,13 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
-def _number(value, kind, where: str):
-    """kind(value) for kind int or float; a bad value, a bool, or a float
-    with a fractional part where an int is wanted, is a ConfigError."""
-    noun = "an integer" if kind is int else "a number"
+def _checked(data, what: str, where: str = "", head: str = "") -> dict:
+    """data's fields, checked and converted by schema.TABLES[what]; a
+    refusal is a ConfigError naming where."""
     try:
-        if isinstance(value, bool) or (
-                kind is int and isinstance(value, float) and not value.is_integer()):
-            raise ValueError(value)
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where} must be {noun}, got {value!r}") from exc
-
-
-def _object(data, where: str, allowed, what: str) -> dict:
-    """data, checked to be a JSON object whose keys all lie in allowed."""
-    head = f"{where}: " if where else ""
-    _require(isinstance(data, dict), f"{head}{what} must be an object")
-    for key in data:
-        _require(key in allowed, f"{head}unknown {what} field {key!r}")
-    return data
+        return schema.checked(data, what, head)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
 
 
 def _check_seed(seed: int, where: str) -> int:
@@ -152,27 +135,19 @@ def _check_samples(samples: int, where: str) -> int:
 
 
 def _codec_from_dict(data, where: str) -> CodecSpec:
-    kwargs = dict(_object(data, where, _CODEC_FIELDS, "codec"))
-    if "b" in kwargs and kwargs["b"] is not None:
-        _require(isinstance(kwargs["b"], (list, tuple)),
-                 f"{where}: b must be a list")
-        kwargs["b"] = tuple(_number(v, int, f"{where}: b entry") for v in kwargs["b"])
     try:
-        return CodecSpec(**kwargs)
-    except (TypeError, ValueError) as exc:
+        return CodecSpec(**schema.checked(data, "codec"))
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _overlay_from_dict(data, where: str) -> OverlayJob:
-    _object(data, where, _BOUND_FIELDS + ("anchor", "label"), "overlay")
-    kwargs = {k: v for k, v in data.items() if k in _BOUND_FIELDS}
     try:
-        spec = BoundSpec(**kwargs)
-    except (TypeError, ValueError) as exc:
+        fields = schema.checked(data, "overlay")
+        anchor, label = fields.pop("anchor", None), fields.pop("label", None)
+        spec = BoundSpec(**fields)
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    anchor = data.get("anchor")
-    _require(anchor is None or isinstance(anchor, str),
-             f"{where}: anchor must be a string")
     if spec.kind == "opta_slb":
         _require(anchor is None,
                  f"{where}: opta_slb is an absolute reference; drop the anchor")
@@ -182,104 +157,74 @@ def _overlay_from_dict(data, where: str) -> OverlayJob:
                  f"set anchor to a curve label")
         _require("scale" not in data,
                  f"{where}: an anchored overlay fits its own scale; drop scale")
-    label = data.get("label")
     label = spec.describe() if label is None else _check_label(label, where)
     return OverlayJob(label=label, spec=spec, anchor=anchor)
 
 
-def _check_label(label, where: str) -> str:
-    _require(isinstance(label, str) and label.strip() != "",
-             f"{where}: label must be a non-empty string")
+def _check_label(label: str, where: str) -> str:
     _require("," not in label and "\n" not in label,
              f"{where}: label may not contain commas or newlines")
     return label
 
 
-def _list(data: dict, key: str) -> list:
-    value = data.get(key, [])
-    _require(isinstance(value, (list, tuple)), f"{key} must be a list")
-    return value
-
-
-def _grid_from(data, where: str) -> tuple:
-    _require(isinstance(data, (list, tuple)) and len(data) > 0,
-             f"{where}: snr grid must be a non-empty list")
-    grid = tuple(_number(v, float, f"{where}: snr grid entry") for v in data)
+def _grid_from(grid: tuple, where: str) -> tuple:
+    _require(len(grid) > 0, f"{where}: snr grid must be a non-empty list")
     _require(all(math.isfinite(v) for v in grid),
              f"{where}: snr grid entries must be finite")
     return grid
 
 
 def parse_config(data) -> Experiment:
-    _object(data, "", ("schema_version", "name", "title", "master_seed",
-                       "snr_grid_db", "sweep", "curves", "overlays",
-                       "dimension_checks"), "top-level")
-    version = data.get("schema_version")
-    _require(not isinstance(version, bool) and version == SCHEMA_VERSION,
-             f"schema_version must be {SCHEMA_VERSION}")
-    name = data.get("name", "experiment")
-    _check_label(name, "name")
+    top = _checked(data, "top-level")
+    name = _check_label(top.get("name", "experiment"), "name")
 
-    sweep_cfg = {**_SWEEP_DEFAULTS,
-                 **_object(data.get("sweep", {}), "",
-                           ("min_trials", "max_trials", "rel_se_target"), "sweep")}
-    min_trials = _number(sweep_cfg["min_trials"], int, "sweep.min_trials")
-    max_trials = _number(sweep_cfg["max_trials"], int, "sweep.max_trials")
-    rel_se = _number(sweep_cfg["rel_se_target"], float, "sweep.rel_se_target")
+    sweep = {**_SWEEP_DEFAULTS,
+             **_checked(top.get("sweep", {}), "sweep", head="sweep.")}
     try:
-        harness.check_sweep_settings(min_trials, max_trials, rel_se)
+        harness.check_sweep_settings(sweep["min_trials"], sweep["max_trials"],
+                                     sweep["rel_se_target"])
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
     master_seed = _check_seed(
-        _number(data.get("master_seed", _SWEEP_DEFAULTS["master_seed"]), int,
-                "master_seed"), "master_seed")
+        top.get("master_seed", _SWEEP_DEFAULTS["master_seed"]), "master_seed")
 
-    default_grid = (_grid_from(data["snr_grid_db"], "snr_grid_db")
-                    if "snr_grid_db" in data else None)
+    default_grid = (_grid_from(top["snr_grid_db"], "snr_grid_db")
+                    if "snr_grid_db" in top else None)
 
     curves = []
-    for i, entry in enumerate(_list(data, "curves")):
+    for i, entry in enumerate(top.get("curves", ())):
         where = f"curves[{i}]"
-        _object(entry, where, ("label", "codec", "snr_grid_db", "fit_window_db"),
-                "curve")
-        label = _check_label(entry.get("label"), where)
-        spec = _codec_from_dict(entry.get("codec"), where + ".codec")
-        grid = (_grid_from(entry["snr_grid_db"], where + ".snr_grid_db")
-                if "snr_grid_db" in entry else default_grid)
+        fields = _checked(entry, "curve", where)
+        label = _check_label(fields["label"], where)
+        spec = _codec_from_dict(fields["codec"], where + ".codec")
+        grid = (_grid_from(fields["snr_grid_db"], where + ".snr_grid_db")
+                if "snr_grid_db" in fields else default_grid)
         _require(grid is not None, f"{where}: no snr grid given and no default set")
-        window = None
-        if entry.get("fit_window_db") is not None:
-            w = entry["fit_window_db"]
-            _require(isinstance(w, (list, tuple)) and len(w) == 2,
-                     f"{where}: fit_window_db must be [lo, hi]")
-            window = tuple(_number(v, float, f"{where}: fit_window_db entry") for v in w)
+        window = fields.get("fit_window_db")
+        if window is not None:
+            _require(len(window) == 2, f"{where}: fit_window_db must be [lo, hi]")
             _require(window[0] < window[1],
                      f"{where}: fit window must satisfy lo < hi")
         curves.append(CurveJob(label=label, spec=spec, grid=grid,
                                fit_window=window))
 
     overlays = tuple(_overlay_from_dict(entry, f"overlays[{i}]")
-                     for i, entry in enumerate(_list(data, "overlays")))
+                     for i, entry in enumerate(top.get("overlays", ())))
 
     dims = []
-    for i, entry in enumerate(_list(data, "dimension_checks")):
+    for i, entry in enumerate(top.get("dimension_checks", ())):
         where = f"dimension_checks[{i}]"
-        _object(entry, where, ("label", "codec", "epsilons", "samples"),
-                "dimension check")
-        label = _check_label(entry.get("label"), where)
-        spec = _codec_from_dict(entry.get("codec"), where + ".codec")
-        eps = entry.get("epsilons")
+        fields = _checked(entry, "dimension check", where)
+        label = _check_label(fields["label"], where)
+        spec = _codec_from_dict(fields["codec"], where + ".codec")
+        eps = fields.get("epsilons")
         eps = DEFAULT_EPSILONS if eps is None else eps
-        _require(isinstance(eps, (list, tuple)) and len(eps) >= 2,
-                 f"{where}: epsilons must list at least two box sizes")
-        eps = tuple(_number(e, float, f"{where}: epsilon") for e in eps)
+        _require(len(eps) >= 2, f"{where}: epsilons must list at least two box sizes")
         _require(eps[-1] > 0.0 and math.isfinite(eps[0])
                  and all(a > b for a, b in zip(eps, eps[1:])),
                  f"{where}: epsilons must be positive, finite and strictly decreasing")
-        samples = _check_samples(
-            _number(entry.get("samples", DEFAULT_DIMENSION_SAMPLES), int,
-                    f"{where}: samples"),
-            f"{where}: samples")
+        samples = _check_samples(fields.get("samples", DEFAULT_DIMENSION_SAMPLES),
+                                 f"{where}: samples")
         dims.append(DimensionJob(label=label, spec=spec, epsilons=eps,
                                  samples=samples))
 
@@ -302,9 +247,10 @@ def parse_config(data) -> Experiment:
             _require(ov.anchor in curve_labels,
                      f"overlays[{i}]: anchor {ov.anchor!r} names no curve")
 
-    return Experiment(name=name, title=data.get("title", name),
-                      master_seed=master_seed, min_trials=min_trials,
-                      max_trials=max_trials, rel_se_target=rel_se,
+    return Experiment(name=name, title=top.get("title", name),
+                      master_seed=master_seed, min_trials=sweep["min_trials"],
+                      max_trials=sweep["max_trials"],
+                      rel_se_target=sweep["rel_se_target"],
                       curves=tuple(curves), overlays=overlays,
                       dimension_checks=tuple(dims))
 
@@ -655,7 +601,13 @@ def _floats(text, flag: str, default: tuple) -> tuple:
     """A comma-separated option as floats, or default when it is not given."""
     if text is None:
         return default
-    return tuple(_number(v, float, f"{flag} entry") for v in text.split(","))
+    values = []
+    for v in text.split(","):
+        try:
+            values.append(float(v))
+        except ValueError:
+            raise ConfigError(f"{flag} entry must be a number, got {v!r}") from None
+    return tuple(values)
 
 
 def run_bounds(args) -> int:

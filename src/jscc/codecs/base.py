@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .. import numrep
+from .. import numrep, schema
 
 # Each scheme's facts, stated once: the fields it reads besides n (a spec
 # setting any other is refused, as the code would ignore it but the spec
@@ -54,14 +54,6 @@ NORMALIZATION_BLOCK = 2048
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return _is_integer(value) or isinstance(value, (float, np.floating))
-
-
 class CapacityError(RuntimeError):
     """A requested configuration exceeds the enumerated-decoder caps."""
 
@@ -69,9 +61,10 @@ class CapacityError(RuntimeError):
 @dataclass(frozen=True)
 class CodecSpec:
     """Declarative description of one code; _SCHEMES is the one place that
-    states its scheme's fields.  A family (a and b unset on shift_map, k
-    unset on type1/type2) has its design parameter chosen per noise level
-    by the sweep harness.
+    states its scheme's fields, and schema.TABLES["codec"] each field's
+    type, checked (and an integral float made an int) on construction.  A
+    family (a and b unset on shift_map, k unset on type1/type2) has its
+    design parameter chosen per noise level by the sweep harness.
     """
 
     scheme: str
@@ -84,14 +77,7 @@ class CodecSpec:
     grouping_variant: str = "standard"
 
     def __post_init__(self):
-        for name in ("n", "p", "a", "k"):
-            value = getattr(self, name)
-            if value is None and name in ("a", "k"):
-                continue
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.alpha is not None and not _is_real(self.alpha):
-            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
+        schema.check_fields(self, "codec")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         scheme = _SCHEMES[self.scheme]
@@ -122,7 +108,7 @@ class CodecSpec:
                 raise ValueError(f"b needs {self.n - 1} entries, got {len(self.b)}")
             if name in ("a", "b"):
                 for m in self.stage_multipliers():
-                    if not _is_integer(m) or m < 2:
+                    if m < 2:
                         raise ValueError(
                             f"stage multiplier must be an integer >= 2, got {m!r}")
             if name == "alpha" and (self.alpha is None or not self.alpha > 2.0):

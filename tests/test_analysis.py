@@ -533,3 +533,10 @@ def test_stretch_validation():
     wrapped = build_codec(CodecSpec(scheme="unbounded_wrap", n=2))
     with pytest.raises(ValueError):
         stretch_profile(wrapped, good, 100_000, rng=_rng())
+
+
+@pytest.mark.parametrize("deltas", [[1e-2, math.nan], [math.nan, 1e-3]])
+def test_stretch_refuses_nan_perturbations(deltas):
+    codec = build_codec(CodecSpec(scheme="shift_map", n=2, a=3))
+    with pytest.raises(ValueError, match="perturbations must lie in"):
+        stretch_profile(codec, deltas, 100_000, rng=_rng())

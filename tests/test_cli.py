@@ -150,7 +150,8 @@ def test_parse_config_happy_path():
      "fit_window_db entry must be a number"),
     (_with_check(epsilons=[True, 0.1]), "epsilon must be a number, got True"),
     (_with_check(samples=True), "samples must be an integer, got True"),
-    (lambda d: d["overlays"][0].update(n=True), "overlays[0]: n must be a number"),
+    (lambda d: d["overlays"][0].update(n=True),
+     "overlays[0]: n must be an integer, got True"),
     (lambda d: d["overlays"][0].update(scale=True), "overlays[0]: scale must be a number"),
     # An overlay label goes through the curve label check.
     (lambda d: d["overlays"][0].update(label="a\nb"),
@@ -195,6 +196,14 @@ def test_integral_floats_count_as_integers():
     assert (exp.master_seed, exp.min_trials, exp.max_trials) == (3, 4096, 100_000)
     assert all(type(v) is int for v in (exp.master_seed, exp.min_trials,
                                         exp.max_trials))
+    # The codec and overlay integer fields follow the same rule.
+    data["curves"][0]["codec"] = {"scheme": "shift_map", "n": 2.0, "b": [3.0]}
+    data["overlays"].append({"kind": "hda_lower", "n": 2.0, "m": 1.0,
+                             "anchor": "rep"})
+    exp = parse_config(data)
+    assert exp.curves[0].spec == base.CodecSpec("shift_map", n=2, b=(3,))
+    assert (exp.overlays[-1].spec.n, exp.overlays[-1].spec.m) == (2, 1)
+    assert exp.overlays[-1].label == "hda_lower n=2 m=1"
 
 
 def test_codec_from_dict_inner_and_b():
@@ -610,7 +619,7 @@ def test_simulate_dimension_checks(tmp_path, capsys):
     assert not (out / "dims.svg").exists()
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     unmade = tmp_path / "unmade"
     missing = tmp_path / "missing.json"
     assert cli.main(["simulate", "--config", str(missing),
@@ -684,9 +693,15 @@ def test_exit_codes(tmp_path):
                      "--out", out]) == 2
     assert cli.main(["stretch", "--codec", codec, "--seed", "-1",
                      "--out", out]) == 2
+    # NaN fails every range check of the perturbations, so LAPACK never sees it.
+    capsys.readouterr()
+    assert cli.main(["stretch", "--codec", '{"scheme":"shift_map","n":2,"a":3}',
+                     "--deltas", "0.01,nan", "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "config error: perturbations must lie in (0, 1e-2]\n")
     for codec in ('{"scheme":"shift_map","n":2.5,"a":3}',
                   '{"scheme":"type1","n":2,"k":2.5}',
-                  '{"scheme":"scheme1","n":2.0,"alpha":3}',
+                  '{"scheme":"scheme1","n":"2","alpha":3}',
                   '{"scheme":"scheme1","n":2,"alpha":1e300}'):
         assert cli.main(["dimension", "--codec", codec, "--out", out]) == 2
         assert cli.main(["stretch", "--codec", codec, "--out", out]) == 2

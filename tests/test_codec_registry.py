@@ -103,7 +103,7 @@ def test_channel_dimensions_are_capped(scheme):
 @pytest.mark.parametrize("fields", [
     {"scheme": "shift_map", "n": 2.5, "a": 3},
     {"scheme": "type1", "n": 2, "k": 2.5},
-    {"scheme": "scheme1", "n": 2.0, "alpha": 3},
+    {"scheme": "scheme1", "n": "2", "alpha": 3},
     {"scheme": "repetition", "n": 2, "p": 10.5},
     {"scheme": "repetition", "n": True},
     {"scheme": "repetition", "n": 2, "a": [3]},

@@ -5,12 +5,14 @@ a bad value, a number made negative, non-integral or a float, a key or
 list entry dropped, an unknown field added, or a patch that breaches a
 codec cap.  Whatever the input, `cli.main` returns
 0, 2 or 3 and raises nothing.  Exit 0 writes exactly the documented file
-set, and a second run writes the same bytes; exits 2 and 3 print one line
-and leave no output directory.
+set, with the config's title in the SVG, and a second run writes the same
+bytes; exits 2 and 3 print one line in the program's own words and leave
+no output directory.
 """
 
 import contextlib
 import copy
+import html
 import io
 import json
 import math
@@ -41,6 +43,10 @@ SNRS = (5.0, 15.0, 25.0, 40.0)
 BAD_VALUES = (math.nan, math.inf, -math.inf, "x", "", "mystery", -1, 0, 1.5,
               2.0, 2.5, 1e-300, 3000.0, 1e5, True, None, [], {}, [1.0],
               {"zzz": 1})
+
+# Python's own phrasings, which a message must never pass on.
+INTERPRETER_WORDS = ("not supported between", "NoneType", "object has no attribute",
+                     "unhashable", "did not converge")
 
 # Changes of a number that keep its size small.
 NUMBER_CHANGES = (lambda v: v + 0.5, float, lambda v: -v)
@@ -109,7 +115,12 @@ def experiments(draw):
         "sweep": {"min_trials": 4096, "max_trials": 4096, "rel_se_target": 0.5},
         "curves": curves,
         "overlays": [{"kind": "opta_slb", "n": 2},
-                     {"kind": "shiftmap_upper", "n": 2, "anchor": "curve 0"}],
+                     {"kind": "shiftmap_upper", "n": 2, "anchor": "curve 0"},
+                     {"kind": "scheme1_upper", "n": 2, "alpha": 4.0,
+                      "anchor": "curve 0"},
+                     {"kind": "hda_lower", "n": 2, "m": 1, "anchor": "curve 0"},
+                     {"kind": "scheme2_upper", "n": 2, "rate": 2.0,
+                      "anchor": "curve 0"}],
     }
     if draw(st.booleans()):
         data["dimension_checks"] = [
@@ -179,9 +190,14 @@ def test_simulate_exits_0_2_or_3_and_leaves_whole_directories(data):
             assert not os.path.exists(first), err
             assert err.count("\n") == 1, err
             assert err.startswith(("config error: ", "capacity error: ")), err
+            assert not any(words in err for words in INTERPRETER_WORDS), err
             return
         files = _read_all(first)
         assert set(files) == _expected_files(data)
+        svg = cli._safe_name(data.get("name", "experiment")) + ".svg"
+        if svg in files:
+            title = data.get("title", data.get("name", "experiment"))
+            assert f">{html.escape(title, quote=False)}<" in files[svg].decode()
         second = os.path.join(tmp, "second")
         assert _simulate(data, second)[0] == 0
         assert _read_all(second) == files
