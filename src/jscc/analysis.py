@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,12 +91,7 @@ class BoundSpec:
             raise ValueError("m must lie in 1..n")
         if "rate" in reads and not (0.0 < self.rate < math.inf):
             raise ValueError("rate must be positive and finite")
-        for field in fields(self):
-            if field.name in ("kind", "n", "scale") + reads:
-                continue
-            value = getattr(self, field.name)
-            if value is not None if field.default is None else value != field.default:
-                raise ValueError(f"{self.kind} does not read {field.name}")
+        schema.refuse_unread(self, self.kind, ("kind", "n", "scale") + reads)
 
     def describe(self) -> str:
         bits = [self.kind, f"n={self.n}"]
@@ -106,12 +101,13 @@ class BoundSpec:
         return " ".join(bits)
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def bound_eval(spec: BoundSpec, sigma):
     """Evaluate the curve at per-dimension noise level sigma.
 
     Accepts a scalar or array; sigma must lie in (0, SIGMA_MAX].  A value
-    past the float range is inf.
+    past the float range is inf, and one whose factors underflow to 0 and
+    overflow to inf is NaN.
     """
     sig = np.asarray(sigma, dtype=np.float64)
     if sig.size and (np.any(sig <= 0.0) or np.any(sig > SIGMA_MAX)):
@@ -179,11 +175,16 @@ def slope_fit(snr_db, sdr_db, window) -> SlopeFit:
     if int(mask.sum()) < 4:
         raise ValueError("need at least 4 points inside the fit window")
     xs, ys = x[mask], y[mask]
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
+    slope, intercept, resid = _line_fit(xs, ys)
     return SlopeFit(slope=float(slope), intercept=float(intercept),
                     snr_db=tuple(float(v) for v in xs),
                     residuals=tuple(float(v) for v in resid))
+
+
+def _line_fit(x, y) -> tuple:
+    """Least-squares line through (x, y): slope, intercept and residuals."""
+    slope, intercept = np.polyfit(x, y, 1)
+    return slope, intercept, y - (slope * x + intercept)
 
 
 @dataclass(frozen=True)
@@ -257,6 +258,19 @@ def _one_per_box(keys):
     return order[first], ordered[first]
 
 
+def box_sizes(epsilons) -> np.ndarray:
+    """epsilons as a float64 vector, refused unless it holds at least two
+    box sizes, all finite, positive and strictly decreasing."""
+    eps = np.asarray(epsilons, dtype=np.float64).ravel()
+    if eps.size < 2:
+        raise ValueError("need at least two box sizes")
+    if not np.all(np.isfinite(eps)):
+        raise ValueError("box sizes must be finite")
+    if np.any(eps <= 0.0) or np.any(np.diff(eps) >= 0.0):
+        raise ValueError("box sizes must be positive and strictly decreasing")
+    return eps
+
+
 def boxcount_dimension(sampler, epsilons, samples_per_eps: int,
                        rng: np.random.Generator) -> DimensionEstimate:
     """Box-counting dimension of a sampled point set.
@@ -287,13 +301,7 @@ def boxcount_dimension(sampler, epsilons, samples_per_eps: int,
     neighbours that differ, plus one, and the union's the same over the
     keys of both sets.
     """
-    eps = np.asarray(epsilons, dtype=np.float64).ravel()
-    if eps.size < 2:
-        raise ValueError("need at least two box sizes")
-    if not np.all(np.isfinite(eps)):
-        raise ValueError("box sizes must be finite")
-    if np.any(eps <= 0.0) or np.any(np.diff(eps) >= 0.0):
-        raise ValueError("box sizes must be positive and strictly decreasing")
+    eps = box_sizes(epsilons)
     if samples_per_eps < 1:
         raise ValueError("samples_per_eps must be positive")
     set_a = np.asarray(sampler(samples_per_eps, rng), dtype=np.float64)
@@ -346,8 +354,7 @@ def boxcount_dimension(sampler, epsilons, samples_per_eps: int,
         counts[i] = m2
     x = np.log(1.0 / eps)
     y = np.log(np.asarray(counts, dtype=np.float64))
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
+    slope, _, resid = _line_fit(x, y)
     return DimensionEstimate(
         epsilons=tuple(float(e) for e in eps),
         counts=tuple(int(c) for c in counts),
@@ -410,9 +417,7 @@ def stretch_profile(codec, deltas, sample_count: int,
     vals = np.asarray(vals)
     if np.any(vals <= 0.0):
         raise ValueError("degenerate encoder: zero displacement measured")
-    lx, ly = np.log(d), np.log(vals)
-    gamma, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (gamma * lx + intercept)
+    gamma, _, resid = _line_fit(np.log(d), np.log(vals))
     return StretchProfile(
         deltas=tuple(float(v) for v in d),
         mean_square=tuple(float(v) for v in vals),

@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 configuration problem, 3 capacity limit, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -111,11 +112,12 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
-def _checked(data, what: str, where: str = "", head: str = "") -> dict:
-    """data's fields, checked and converted by schema.TABLES[what]; a
-    refusal is a ConfigError naming where."""
+@contextlib.contextmanager
+def _refusing(where: str = ""):
+    """The one refusal boundary: a ValueError raised inside, by the module
+    that owns the rule, becomes a ConfigError (exit 2) prefixed by where."""
     try:
-        return schema.checked(data, what, head)
+        yield
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
 
@@ -135,19 +137,15 @@ def _check_samples(samples: int, where: str) -> int:
 
 
 def _codec_from_dict(data, where: str) -> CodecSpec:
-    try:
+    with _refusing(where):
         return CodecSpec(**schema.checked(data, "codec"))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _overlay_from_dict(data, where: str) -> OverlayJob:
-    try:
+    with _refusing(where):
         fields = schema.checked(data, "overlay")
         anchor, label = fields.pop("anchor", None), fields.pop("label", None)
         spec = BoundSpec(**fields)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
     if spec.kind == "opta_slb":
         _require(anchor is None,
                  f"{where}: opta_slb is an absolute reference; drop the anchor")
@@ -157,55 +155,43 @@ def _overlay_from_dict(data, where: str) -> OverlayJob:
                  f"set anchor to a curve label")
         _require("scale" not in data,
                  f"{where}: an anchored overlay fits its own scale; drop scale")
-    label = spec.describe() if label is None else _check_label(label, where)
-    return OverlayJob(label=label, spec=spec, anchor=anchor)
-
-
-def _check_label(label: str, where: str) -> str:
-    _require("," not in label and "\n" not in label,
-             f"{where}: label may not contain commas or newlines")
-    return label
-
-
-def _grid_from(grid: tuple, where: str) -> tuple:
-    _require(len(grid) > 0, f"{where}: snr grid must be a non-empty list")
-    _require(all(math.isfinite(v) for v in grid),
-             f"{where}: snr grid entries must be finite")
-    return grid
+    return OverlayJob(label=spec.describe() if label is None else label,
+                      spec=spec, anchor=anchor)
 
 
 def parse_config(data) -> Experiment:
-    top = _checked(data, "top-level")
-    name = _check_label(top.get("name", "experiment"), "name")
-
-    sweep = {**_SWEEP_DEFAULTS,
-             **_checked(top.get("sweep", {}), "sweep", head="sweep.")}
-    try:
+    with _refusing():
+        top = schema.checked(data, "top-level")
+        sweep = {**_SWEEP_DEFAULTS,
+                 **schema.checked(top.get("sweep", {}), "sweep", "sweep.")}
+    with _refusing("sweep"):
         harness.check_sweep_settings(sweep["min_trials"], sweep["max_trials"],
                                      sweep["rel_se_target"])
-    except ValueError as exc:
-        raise ConfigError(f"sweep: {exc}") from exc
     master_seed = _check_seed(
         top.get("master_seed", _SWEEP_DEFAULTS["master_seed"]), "master_seed")
 
-    default_grid = (_grid_from(top["snr_grid_db"], "snr_grid_db")
-                    if "snr_grid_db" in top else None)
+    default_grid = top.get("snr_grid_db")
+    if default_grid is not None:
+        with _refusing("snr_grid_db"):
+            harness.check_snr_grid(default_grid)
 
     curves = []
     for i, entry in enumerate(top.get("curves", ())):
         where = f"curves[{i}]"
-        fields = _checked(entry, "curve", where)
-        label = _check_label(fields["label"], where)
+        with _refusing(where):
+            fields = schema.checked(entry, "curve")
         spec = _codec_from_dict(fields["codec"], where + ".codec")
-        grid = (_grid_from(fields["snr_grid_db"], where + ".snr_grid_db")
-                if "snr_grid_db" in fields else default_grid)
+        grid = fields.get("snr_grid_db", default_grid)
         _require(grid is not None, f"{where}: no snr grid given and no default set")
+        if "snr_grid_db" in fields:
+            with _refusing(where + ".snr_grid_db"):
+                harness.check_snr_grid(grid)
         window = fields.get("fit_window_db")
         if window is not None:
             _require(len(window) == 2, f"{where}: fit_window_db must be [lo, hi]")
             _require(window[0] < window[1],
                      f"{where}: fit window must satisfy lo < hi")
-        curves.append(CurveJob(label=label, spec=spec, grid=grid,
+        curves.append(CurveJob(label=fields["label"], spec=spec, grid=grid,
                                fit_window=window))
 
     overlays = tuple(_overlay_from_dict(entry, f"overlays[{i}]")
@@ -214,18 +200,15 @@ def parse_config(data) -> Experiment:
     dims = []
     for i, entry in enumerate(top.get("dimension_checks", ())):
         where = f"dimension_checks[{i}]"
-        fields = _checked(entry, "dimension check", where)
-        label = _check_label(fields["label"], where)
-        spec = _codec_from_dict(fields["codec"], where + ".codec")
-        eps = fields.get("epsilons")
-        eps = DEFAULT_EPSILONS if eps is None else eps
-        _require(len(eps) >= 2, f"{where}: epsilons must list at least two box sizes")
-        _require(eps[-1] > 0.0 and math.isfinite(eps[0])
-                 and all(a > b for a, b in zip(eps, eps[1:])),
-                 f"{where}: epsilons must be positive, finite and strictly decreasing")
+        with _refusing(where):  # the codec's own refusals name where.codec
+            fields = schema.checked(entry, "dimension check")
+            spec = _codec_from_dict(fields["codec"], where + ".codec")
+            eps = fields.get("epsilons")
+            eps = DEFAULT_EPSILONS if eps is None else eps
+            analysis.box_sizes(eps)
         samples = _check_samples(fields.get("samples", DEFAULT_DIMENSION_SAMPLES),
                                  f"{where}: samples")
-        dims.append(DimensionJob(label=label, spec=spec, epsilons=eps,
+        dims.append(DimensionJob(label=fields["label"], spec=spec, epsilons=eps,
                                  samples=samples))
 
     _require(curves or dims, "config defines no curves and no dimension checks")
@@ -247,6 +230,7 @@ def parse_config(data) -> Experiment:
             _require(ov.anchor in curve_labels,
                      f"overlays[{i}]: anchor {ov.anchor!r} names no curve")
 
+    name = top.get("name", "experiment")
     return Experiment(name=name, title=top.get("title", name),
                       master_seed=master_seed, min_trials=sweep["min_trials"],
                       max_trials=sweep["max_trials"],
@@ -440,10 +424,8 @@ def _overlay_points(job: OverlayJob, curves_by_label, all_points):
             raise ConfigError(
                 f"overlay {job.label!r}: anchor curve has no usable points")
         best = max(pts, key=lambda p: p.snr_db)
-        try:
+        with _refusing(f"overlay {job.label!r}"):
             spec = analysis.anchored(spec, best.sigma, best.distortion)
-        except ValueError as exc:
-            raise ConfigError(f"overlay {job.label!r}: {exc}") from exc
     # Values past the float range become inf and drop out of the chart.
     with np.errstate(over="ignore", divide="ignore"):
         vals = analysis.bound_eval(spec, channel.sigma_from_snr_db(grid))
@@ -454,12 +436,10 @@ def _overlay_points(job: OverlayJob, curves_by_label, all_points):
 def _fit_note(job: CurveJob, points) -> str:
     if job.fit_window is None:
         return "no fit window"
-    finite = [(p.snr_db, p.sdr_db) for p in points if math.isfinite(p.sdr_db)]
-    if len(finite) < 4:
-        return "fit window: too few points"
-    x, y = zip(*finite)
+    finite = [p for p in points if math.isfinite(p.sdr_db)]
     try:
-        fit = analysis.slope_fit(x, y, job.fit_window)
+        fit = analysis.slope_fit([p.snr_db for p in finite],
+                                 [p.sdr_db for p in finite], job.fit_window)
     except ValueError:
         return "fit window: too few points"
     lo, hi = job.fit_window
@@ -492,37 +472,24 @@ def _load_experiment(args) -> Experiment:
 def _checked_plan(job: CurveJob, exp: Experiment) -> SweepPlan:
     """Build a curve's plan and every grid point's codec, so a bad curve
     fails before any job starts."""
-    try:
+    with _refusing(f"curve {job.label!r}"):
         plan = SweepPlan(codec=job.spec, snr_grid_db=job.grid,
                          min_trials=exp.min_trials, max_trials=exp.max_trials,
                          rel_se_target=exp.rel_se_target,
                          master_seed=exp.master_seed)
         for spec, _ in harness.grid_points(plan):
             harness.cached_codec(spec)
-    except ValueError as exc:
-        raise ConfigError(f"curve {job.label!r}: {exc}") from exc
     return plan
-
-
-def _checked_codec(spec: CodecSpec, where: str):
-    """Build a codec up front, so a bad one fails before any Monte Carlo."""
-    try:
-        return harness.cached_codec(spec)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _dimension_estimate(job: DimensionJob, master_seed: int, index: int):
     """Build and box-count one dimension check; a bad codec, box size or
     sample exits 2 and a cap breach 3."""
-    codec = _checked_codec(job.spec, f"dimension check {job.label!r}")
-    rng = channel.derived_rng(master_seed, 0xD1, index)
-    try:
+    with _refusing(f"dimension check {job.label!r}"):
+        codec = harness.cached_codec(job.spec)
         return analysis.boxcount_dimension(
             analysis.constellation_sampler(codec), job.epsilons, job.samples,
-            rng=rng)
-    except ValueError as exc:
-        raise ConfigError(f"dimension check {job.label!r}: {exc}") from exc
+            rng=channel.derived_rng(master_seed, 0xD1, index))
 
 
 def _simulate_files(exp: Experiment, curves, estimates, workers: int) -> list:
@@ -611,11 +578,9 @@ def _floats(text, flag: str, default: tuple) -> tuple:
 
 
 def run_bounds(args) -> int:
-    try:
+    with _refusing():
         spec = BoundSpec(kind=args.kind, n=args.n, alpha=args.alpha, m=args.m,
                          scale=args.scale, rate=args.rate)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     lo, hi = args.sigma_lo, args.sigma_hi
     _require(0.0 < lo < hi <= analysis.SIGMA_MAX,
              f"sigma range must satisfy 0 < lo < hi <= {analysis.SIGMA_MAX:.6f}")
@@ -624,6 +589,10 @@ def run_bounds(args) -> int:
              f"--points must be at most {MAX_BOUND_POINTS}, got {args.points}")
     sig = np.geomspace(lo, hi, args.points)
     vals = analysis.bound_eval(spec, sig)
+    nan = np.isnan(vals)
+    _require(not nan.any(), f"{spec.describe()} has no float value at sigma="
+             f"{float(sig[nan.argmax()])!r}: one factor underflows to 0 and "
+             f"another overflows")
     _write(args.out, _csv("kind,sigma,distortion",
                           [f"{spec.kind},{s!r},{v!r}"
                            for s, v in zip(sig.tolist(), vals.tolist())]))
@@ -646,14 +615,13 @@ def run_dimension(args) -> int:
 def run_stretch(args) -> int:
     spec = _codec_from_json(args.codec)
     samples = _check_samples(args.samples, "--samples")
-    codec = _checked_codec(spec, "--codec")
+    with _refusing("--codec"):
+        codec = harness.cached_codec(spec)
     deltas = _floats(args.deltas, "--deltas",
                      tuple(np.geomspace(1e-2, 1e-4, 7).tolist()))
     rng = channel.derived_rng(_check_seed(args.seed, "--seed"), 0x57, 0)
-    try:
+    with _refusing():
         prof = analysis.stretch_profile(codec, deltas, samples, rng=rng)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     _write(args.out, _csv("delta,mean_square",
                           [f"{d!r},{v!r}"
                            for d, v in zip(prof.deltas, prof.mean_square)]))

@@ -2,7 +2,7 @@
 
 import functools
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ _Scheme = namedtuple("_Scheme", "reads least_n open needs dims source",
                      defaults=((), 2, (), (), 1, "uniform"))
 _SCHEMES = {
     "repetition": _Scheme(least_n=1),
-    "shift_map": _Scheme(reads=("a", "b"), open=("a", "b")),
+    "shift_map": _Scheme(reads=("a",), open=("a",)),
     "spherical": _Scheme(reads=("a",), needs=("a",), dims=2),
     "scheme1": _Scheme(reads=("alpha", "p"), needs=("alpha",)),
     "scheme2": _Scheme(reads=("p", "grouping_variant")),
@@ -63,14 +63,13 @@ class CodecSpec:
     """Declarative description of one code; _SCHEMES is the one place that
     states its scheme's fields, and schema.TABLES["codec"] each field's
     type, checked (and an integral float made an int) on construction.  A
-    family (a and b unset on shift_map, k unset on type1/type2) has its
-    design parameter chosen per noise level by the sweep harness.
+    family (a unset on shift_map, k unset on type1/type2) has its design
+    parameter chosen per noise level by the sweep harness.
     """
 
     scheme: str
     n: int
     a: int | None = None
-    b: tuple[int, ...] | None = None
     alpha: float | None = None
     k: int | None = None
     p: int = numrep.DEFAULT_PRECISION
@@ -81,12 +80,7 @@ class CodecSpec:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         scheme = _SCHEMES[self.scheme]
-        for field in fields(self):
-            if field.name in ("scheme", "n") + scheme.reads:
-                continue
-            value = getattr(self, field.name)
-            if value is not None if field.default is None else value != field.default:
-                raise ValueError(f"{self.scheme} does not read {field.name}")
+        schema.refuse_unread(self, self.scheme, ("scheme", "n") + scheme.reads)
         if self.grouping_variant not in GROUPING_VARIANTS:
             raise ValueError(f"unknown grouping variant {self.grouping_variant!r}")
         if not 1 <= self.p <= numrep.MAX_PRECISION:
@@ -102,15 +96,9 @@ class CodecSpec:
                 continue
             if name == "a" and self.a is None:
                 raise ValueError(f"{self.scheme} code needs the multiplier a")
-            if name == "a" and self.b is not None:
-                raise ValueError("give either a or per-stage b, not both")
-            if name == "b" and len(self.b) != self.n - 1:
-                raise ValueError(f"b needs {self.n - 1} entries, got {len(self.b)}")
-            if name in ("a", "b"):
-                for m in self.stage_multipliers():
-                    if m < 2:
-                        raise ValueError(
-                            f"stage multiplier must be an integer >= 2, got {m!r}")
+            if name == "a" and self.a < 2:
+                raise ValueError(
+                    f"stage multiplier must be an integer >= 2, got {self.a!r}")
             if name == "alpha" and (self.alpha is None or not self.alpha > 2.0):
                 raise ValueError(f"{self.scheme} needs a digit base alpha > 2")
             if name == "k":
@@ -149,8 +137,6 @@ class CodecSpec:
 
     def stage_multipliers(self) -> tuple[int, ...]:
         """Per-stage multipliers of a concrete shift map."""
-        if self.b is not None:
-            return self.b
         if self.a is None:
             raise ValueError("family spec has no concrete multipliers yet")
         return (self.a,) * (self.n - 1)
@@ -159,12 +145,7 @@ class CodecSpec:
         reads = _SCHEMES[self.scheme].reads
         parts = [self.scheme, f"n={self.n}"]
         if "a" in reads:
-            if self.b is not None:
-                parts.append("b=" + "x".join(str(m) for m in self.b))
-            elif self.a is not None:
-                parts.append(f"a={self.a}")
-            else:
-                parts.append("a=auto")
+            parts.append(f"a={self.a}" if self.a is not None else "a=auto")
         if self.alpha is not None:
             parts.append(f"alpha={self.alpha:g}")
         if "k" in reads:
@@ -202,6 +183,10 @@ class Codec:
 
     def decode(self, y: np.ndarray, sigma: float = 0.0) -> np.ndarray:
         raise NotImplementedError
+
+    def check_decode_sigma(self, sigma: float) -> None:
+        """Raise CapacityError if a decode at sigma (std per raw coordinate)
+        would search past a cap; here no level does."""
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.spec.describe()}>"

@@ -9,17 +9,23 @@ the integer.  Decoding enumerates the few integer offsets consistent with the
 first received coordinate and keeps the candidate whose re-encoding lands
 closest to the full received vector.  Offsets stay within +-2**52, so an
 infinite or huge first coordinate decodes to the nearest end of that range.
+Each offset costs one inner decode and one re-encode of the whole batch, so
+a noise level whose window holds more than OFFSET_CAP offsets is refused.
 """
 
 import numpy as np
 
-from .base import Codec, CodecSpec, _keep_best
+from .base import CapacityError, Codec, CodecSpec, _keep_best
 from .layered import Scheme2Codec
 from .. import numrep
 
 INTEGER_SEARCH_SIGMAS = 4.0
 # Integer offsets stay within +-2**52, where float64 and int64 integers agree.
 INTEGER_LIMIT = 2.0 ** 52
+# Most integer offsets a row's decode window may hold.  At n=2 one offset
+# of a 4096-row batch costs about 1 ms (one x86-64 core), so a batch at the
+# cap takes about 1 s, and the window reaches the cap near -45 dB.
+OFFSET_CAP = 1 << 10
 
 
 def integer_search_radius(sigma: float) -> float:
@@ -40,6 +46,14 @@ class UnboundedWrapCodec(Codec):
         s -= 0.5
         s[:, 0] += x1
         return s
+
+    def check_decode_sigma(self, sigma):
+        # A window [floor(c - r), ceil(c + r)] holds fewer than 2r + 3 integers.
+        window = 2.0 * integer_search_radius(sigma) + 3.0
+        if not window <= OFFSET_CAP:
+            raise CapacityError(
+                f"decode noise level {sigma:.6g} puts up to {window:.6g} integer "
+                f"offsets in a row's window, past the cap {OFFSET_CAP}")
 
     def decode(self, y, sigma=0.0):
         y = np.asarray(y, dtype=np.float64)

@@ -16,8 +16,10 @@ is the channel sigma scaled by the measured power root.
 
 `sweep_curves` owns a sweep and returns each plan's points.  It builds every
 codec, then runs two job lists: one normalization per distinct resolved
-spec, whose records it hands to this process's codecs, then one point job
-per stream group.  `run_jobs` runs each list in this process and up to
+spec, whose records it hands to this process's codecs, then, once every
+point's decode noise level has met its codec's caps
+(`Codec.check_decode_sigma`), one point job per stream group.
+`run_jobs` runs each list in this process and up to
 workers - 1 forked pool processes, which inherit the codecs and their
 records, and merges the results in job order, so no number depends on the
 worker count.  Codecs live in one cache per process, so a later sweep of the
@@ -82,13 +84,21 @@ class SweepPlan:
     master_seed: int = channel.DEFAULT_MASTER_SEED
 
     def __post_init__(self):
-        grid = tuple(float(v) for v in self.snr_grid_db)
-        object.__setattr__(self, "snr_grid_db", grid)
-        if not all(math.isfinite(v) for v in grid):
-            raise ValueError("snr grid entries must be finite")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("snr grid must be strictly increasing")
+        object.__setattr__(self, "snr_grid_db", check_snr_grid(self.snr_grid_db))
         check_sweep_settings(self.min_trials, self.max_trials, self.rel_se_target)
+
+
+def check_snr_grid(grid) -> tuple:
+    """grid as a tuple of floats, refused unless it has an entry, every entry
+    is finite and the entries strictly increase."""
+    grid = tuple(float(v) for v in grid)
+    if not grid:
+        raise ValueError("snr grid must be a non-empty list")
+    if not all(math.isfinite(v) for v in grid):
+        raise ValueError("snr grid entries must be finite")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("snr grid must be strictly increasing")
+    return grid
 
 
 def check_sweep_settings(min_trials, max_trials, rel_se_target) -> None:
@@ -358,8 +368,9 @@ def run_jobs(fn, jobs: list, workers: int) -> list:
 
 def sweep_curves(plans, workers: int) -> list:
     """Each plan's points, as a tuple of SdrPoint in grid order: build every
-    codec, normalize every distinct spec, then run one point job per stream
-    group across all plans.
+    codec, normalize every distinct spec, check every point's decode noise
+    level against the codec's caps (CapacityError), then run one point job
+    per stream group across all plans.
 
     A stream group holds every (plan, grid point) with the same stream key;
     groups run in the order of their first member in plan-major order, and
@@ -380,6 +391,10 @@ def sweep_curves(plans, workers: int) -> list:
         cached_codec(spec).normalization = rec
     jobs = [(spec, noise, plan)
             for plan, grid in zip(plans, grids) for spec, noise in grid]
+    # Every record is known, so a decode past a cap fails before any batch.
+    for spec, noise, _ in jobs:
+        codec = cached_codec(spec)
+        codec.check_decode_sigma(noise.sigma * math.sqrt(codec.normalization.power))
     groups = {}
     for index, (spec, noise, plan) in enumerate(jobs):
         groups.setdefault(_stream_key(cached_codec(spec), noise, plan),

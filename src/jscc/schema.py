@@ -8,7 +8,8 @@ fields the object must have.  Every type has one rule:
   integer   a JSON integer, or a float with no fractional part; becomes int
   number    a JSON integer or float; becomes float
   string    a JSON string
-  label     a string with a non-space character
+  label     a string with a non-space character and no comma or newline,
+            as a CSV cell and a summary line need
   list      a JSON array of entries of one type; becomes a tuple
   object    a JSON object, checked against its own table where it is read
   version   the one schema_version there is, SCHEMA_VERSION
@@ -16,7 +17,8 @@ fields the object must have.  Every type has one rule:
 An integer or a number is never true or false.  A field typed `or_null`
 also takes null, and is null by default.  Range and cross-field rules
 belong to the code that reads the values (CodecSpec, BoundSpec,
-harness.check_sweep_settings, cli.parse_config).
+harness.check_sweep_settings and check_snr_grid, analysis.box_sizes,
+cli.parse_config); refuse_unread refuses a field a spec's kind ignores.
 """
 
 from __future__ import annotations
@@ -58,8 +60,9 @@ def _number(value):
 INTEGER = JsonType("an integer", _integer)
 NUMBER = JsonType("a number", _number)
 STRING = JsonType("a string", lambda v: v if isinstance(v, str) else None)
-LABEL = JsonType("a non-empty string",
-                 lambda v: v if isinstance(v, str) and v.strip() else None)
+LABEL = JsonType("a non-empty string with no comma or newline",
+                 lambda v: v if isinstance(v, str) and v.strip()
+                 and "," not in v and "\n" not in v else None)
 OBJECT = JsonType("an object", lambda v: v if isinstance(v, dict) else None)
 VERSION = JsonType(str(SCHEMA_VERSION),
                    lambda v: v if _integer(v) == SCHEMA_VERSION else None)
@@ -105,7 +108,6 @@ TABLES = {
         "scheme": STRING,
         "n": INTEGER,
         "a": or_null(INTEGER),
-        "b": or_null(list_of(INTEGER, "b entry")),
         "alpha": or_null(NUMBER),
         "k": or_null(INTEGER),
         "p": INTEGER,
@@ -171,3 +173,13 @@ def check_fields(spec, what: str) -> None:
     values = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
     for name, value in checked(values, what).items():
         object.__setattr__(spec, name, value)
+
+
+def refuse_unread(spec, owner: str, reads: tuple) -> None:
+    """Refuse a dataclass field outside reads that is set: not None, or not
+    its default where that is not None.  owner would ignore it."""
+    for field in dataclasses.fields(spec):
+        value = getattr(spec, field.name)
+        if field.name not in reads and (
+                value is not None if field.default is None else value != field.default):
+            raise ValueError(f"{owner} does not read {field.name}")

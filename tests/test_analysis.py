@@ -204,6 +204,16 @@ def test_bound_eval_overflows_to_inf_quietly():
                           0.1) == math.inf
 
 
+def test_bound_eval_is_nan_quietly_where_its_factors_leave_the_float_range():
+    # sigma**(2n) underflows to 0 while the other factor overflows to inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(bound_eval(BoundSpec(kind="shiftmap_upper", n=1000), 1e-4))
+        vals = bound_eval(BoundSpec(kind="scheme2_upper", n=2, rate=100.0),
+                          np.array([1e-300, 0.1]))
+    assert math.isnan(vals[0]) and math.isfinite(vals[1])
+
+
 def test_describe_mentions_parameters():
     s = BoundSpec(kind="scheme1_upper", n=2, alpha=4.0)
     assert "alpha=4" in s.describe() and "n=2" in s.describe()

@@ -128,13 +128,20 @@ def test_parse_config_happy_path():
      "curves[0].snr_grid_db: snr grid entries"),
     (lambda d: d["curves"][0].update(snr_grid_db=[-math.inf, 0.0]),
      "curves[0].snr_grid_db: snr grid entries must be finite"),
+    # The plan's rule, met at parse time.
+    (lambda d: d["curves"][0].update(snr_grid_db=[10.0, 10.0]),
+     "curves[0].snr_grid_db: snr grid must be strictly increasing"),
+    (lambda d: d.update(snr_grid_db=[20.0, 10.0]),
+     "snr_grid_db: snr grid must be strictly increasing"),
+    (lambda d: d["curves"][0].update(snr_grid_db=[]),
+     "curves[0].snr_grid_db: snr grid must be a non-empty list"),
     (lambda d: d["sweep"].update(min_trials=4096.9),
      "sweep.min_trials must be an integer, got 4096.9"),
     (lambda d: d["curves"][0]["codec"].update(n=2.5),
      "curves[0].codec: n must be an integer"),
     (lambda d: d["curves"][0].update(
-        codec={"scheme": "shift_map", "n": 3, "b": [2, 3.5]}),
-     "b entry must be an integer"),
+        codec={"scheme": "shift_map", "n": 3, "b": [2, 3]}),
+     "curves[0].codec: unknown codec field 'b'"),
     (_with_check(samples=1000.5), "samples must be an integer"),
     (lambda d: d.update(curves=5), "curves must be a list"),
     (lambda d: d.update(overlays=None), "overlays must be a list"),
@@ -153,10 +160,12 @@ def test_parse_config_happy_path():
     (lambda d: d["overlays"][0].update(n=True),
      "overlays[0]: n must be an integer, got True"),
     (lambda d: d["overlays"][0].update(scale=True), "overlays[0]: scale must be a number"),
-    # An overlay label goes through the curve label check.
+    # An overlay label has the curve label's type.
     (lambda d: d["overlays"][0].update(label="a\nb"),
-     "overlays[0]: label may not contain commas or newlines"),
-    (lambda d: d["overlays"][1].update(label="a,b"), "overlays[1]: label may not"),
+     "overlays[0]: label must be a non-empty string with no comma or newline, "
+     "got 'a\\nb'"),
+    (lambda d: d["overlays"][1].update(label="a,b"),
+     "overlays[1]: label must be a non-empty string with no comma"),
     (lambda d: d["overlays"][0].update(label=""),
      "overlays[0]: label must be a non-empty string"),
     (lambda d: d["overlays"][1].update(label=5),
@@ -197,19 +206,19 @@ def test_integral_floats_count_as_integers():
     assert all(type(v) is int for v in (exp.master_seed, exp.min_trials,
                                         exp.max_trials))
     # The codec and overlay integer fields follow the same rule.
-    data["curves"][0]["codec"] = {"scheme": "shift_map", "n": 2.0, "b": [3.0]}
+    data["curves"][0]["codec"] = {"scheme": "shift_map", "n": 2.0, "a": 3.0}
     data["overlays"].append({"kind": "hda_lower", "n": 2.0, "m": 1.0,
                              "anchor": "rep"})
     exp = parse_config(data)
-    assert exp.curves[0].spec == base.CodecSpec("shift_map", n=2, b=(3,))
+    assert exp.curves[0].spec == base.CodecSpec("shift_map", n=2, a=3)
     assert (exp.overlays[-1].spec.n, exp.overlays[-1].spec.m) == (2, 1)
     assert exp.overlays[-1].label == "hda_lower n=2 m=1"
 
 
 def test_codec_from_dict_inner_and_b():
-    spec = cli._codec_from_dict(
-        {"scheme": "shift_map", "n": 3, "b": [2, 3]}, "t")
-    assert spec.b == (2, 3)
+    # A shift map has one multiplier a for every stage.
+    with pytest.raises(ConfigError, match="^t: unknown codec field 'b'$"):
+        cli._codec_from_dict({"scheme": "shift_map", "n": 3, "b": [2, 3]}, "t")
     # The wrapper builds its inner code from its own fields.
     with pytest.raises(ConfigError, match="^t: unknown codec field 'inner'$"):
         cli._codec_from_dict(
@@ -693,6 +702,15 @@ def test_exit_codes(tmp_path, capsys):
                      "--out", out]) == 2
     assert cli.main(["stretch", "--codec", codec, "--seed", "-1",
                      "--out", out]) == 2
+    # A reference curve whose factors leave the float range has no value.
+    capsys.readouterr()
+    for args, sigma in ((["--kind", "shiftmap_upper", "--n", "1000"], 1e-4),
+                        (["--kind", "scheme2_upper", "--n", "2", "--rate", "100",
+                          "--sigma-lo", "1e-300", "--points", "3"], 1e-300)):
+        assert cli.main(["bounds", *args, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f"has no float value at sigma={sigma!r}" in err
     # NaN fails every range check of the perturbations, so LAPACK never sees it.
     capsys.readouterr()
     assert cli.main(["stretch", "--codec", '{"scheme":"shift_map","n":2,"a":3}',
@@ -727,10 +745,11 @@ def test_a_wrapper_naming_an_inner_code_exits_2(tmp_path, capsys):
 
 
 # The fields each scheme never reads, each with a value other than its
-# default, and the fields the scheme needs to build.
+# default, and the fields the scheme needs to build.  b, once the shift
+# map's per-stage multipliers, is a field of no codec.
 _UNREAD = {
     "repetition": ("a", "b", "alpha", "k", "p", "grouping_variant"),
-    "shift_map": ("alpha", "k", "p", "grouping_variant"),
+    "shift_map": ("b", "alpha", "k", "p", "grouping_variant"),
     "spherical": ("b", "alpha", "k", "p", "grouping_variant"),
     "scheme1": ("a", "b", "k", "grouping_variant"),
     "scheme2": ("a", "b", "alpha", "k"),
@@ -751,8 +770,9 @@ def test_a_field_the_scheme_never_reads_exits_2(scheme, field, tmp_path, capsys)
     codec[field] = _UNREAD_VALUE[field]
     out = tmp_path / "dim.csv"
     assert cli.main(["dimension", "--codec", json.dumps(codec), "--out", str(out)]) == 2
-    assert capsys.readouterr() == (
-        "", f"config error: --codec: {scheme} does not read {field}\n")
+    refusal = ("unknown codec field 'b'" if field == "b"
+               else f"{scheme} does not read {field}")
+    assert capsys.readouterr() == ("", f"config error: --codec: {refusal}\n")
     assert not out.exists()
 
 
@@ -890,6 +910,10 @@ def test_bad_dimension_check_fails_before_any_csv(tmp_path, codec, code):
      "config error: curve 'c': snr 7000.0 dB rounds the noise level to zero"),
     ({"scheme": "repetition", "n": 2}, 100_000.0, 2,
      "config error: curve 'c': snr 100000.0 dB rounds the noise level to zero"),
+    # One inner decode per integer offset: 5.9e20 offsets per row.
+    ({"scheme": "unbounded_wrap", "n": 2}, -400.0, 3,
+     "capacity error: decode noise level 7.42385e+19 puts up to 5.93908e+20 "
+     "integer offsets in a row's window, past the cap 1024\n"),
 ])
 def test_extreme_stretches_and_noise_levels_fail_before_any_sweep(
         tmp_path, monkeypatch, capsys, codec, snr, code, message):

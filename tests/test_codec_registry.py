@@ -19,7 +19,6 @@ def test_every_concrete_scheme_builds():
     specs = [
         CodecSpec("repetition", n=2),
         CodecSpec("shift_map", n=3, a=2),
-        CodecSpec("shift_map", n=3, b=(2, 5)),
         CodecSpec("spherical", n=2, a=3),
         CodecSpec("scheme1", n=2, alpha=3.0),
         CodecSpec("scheme2", n=4, grouping_variant="shifted"),
@@ -74,8 +73,6 @@ def test_validation_errors():
         CodecSpec("nonsense", n=2)
     with pytest.raises(ValueError):
         CodecSpec("spherical", n=2)
-    with pytest.raises(ValueError):
-        CodecSpec("shift_map", n=3, b=(2,))
     with pytest.raises(ValueError):
         CodecSpec("shift_map", n=2, a=1)
     with pytest.raises(ValueError):

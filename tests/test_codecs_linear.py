@@ -96,12 +96,6 @@ def test_shiftmap_noiseless_round_trip(x, a, n):
     assert abs(out[0] - x) < 1e-12
 
 
-def test_shiftmap_heterogeneous_stages_round_trip():
-    c = make("shift_map", n=3, b=(2, 3))
-    x = np.random.default_rng(11).uniform(-0.5, 0.5, 10 ** 4)
-    assert np.max(np.abs(c.decode(c.encode(x)) - x)) < 1e-12
-
-
 def test_shiftmap_decode_matches_dense_grid():
     # Brute-force reference: nearest point over a 10^6-point discretization
     # of the whole map, found exactly by a k-d tree over the table.

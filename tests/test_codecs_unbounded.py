@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from jscc.codecs import CodecSpec, build_codec
-from jscc.codecs.unbounded import integer_search_radius
+from jscc.codecs import CapacityError, CodecSpec, build_codec
+from jscc.codecs.unbounded import OFFSET_CAP, integer_search_radius
 
 
 def make(n, p=48):
@@ -24,6 +24,29 @@ def test_first_component_carries_the_integer():
 def test_search_radius():
     assert integer_search_radius(0.0) == 0.75
     assert integer_search_radius(0.1) == pytest.approx(1.15)
+
+
+def test_offset_window_stays_below_its_bound():
+    # Each row searches [floor(c - r), ceil(c + r)]: fewer than 2r + 3 offsets.
+    rng = np.random.default_rng(8)
+    for sigma in (0.0, 0.1, 0.37, 1.0, 12.5):
+        r = integer_search_radius(sigma)
+        c = np.concatenate([rng.uniform(-50.0, 50.0, 10 ** 4),
+                            np.arange(-8.0, 8.0, 0.125), [r, -r, 0.5 - r]])
+        span = np.ceil(c + r) - np.floor(c - r) + 1
+        assert span.max() < 2.0 * r + 3.0
+
+
+def test_decode_noise_level_cap():
+    c = make(2)
+    top = (OFFSET_CAP - 3.0) / 2.0  # the largest radius within the cap
+    c.check_decode_sigma(0.0)
+    c.check_decode_sigma((top - 0.75) / 4.0)
+    for sigma in ((top - 0.75) / 4.0 * (1 + 1e-9), 1e20, np.inf, np.nan):
+        with pytest.raises(CapacityError, match=f"past the cap {OFFSET_CAP}$"):
+            c.check_decode_sigma(sigma)
+    # Codes whose decode cost does not grow with the noise accept any level.
+    build_codec(CodecSpec("scheme2", n=2)).check_decode_sigma(1e300)
 
 
 @pytest.mark.parametrize("n", [2, 3])

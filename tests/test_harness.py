@@ -121,9 +121,9 @@ def test_sweep_propagates_capacity_error():
 
 
 def test_sweep_empty_grid():
-    plan = SweepPlan(codec=CodecSpec(scheme="repetition", n=2), snr_grid_db=())
-    assert harness.sweep_curves([plan], 1) == [()]
-    assert harness.grid_points(plan) == []
+    # A plan with no point is refused, as a config's empty grid is.
+    with pytest.raises(ValueError, match="^snr grid must be a non-empty list$"):
+        SweepPlan(codec=CodecSpec(scheme="repetition", n=2), snr_grid_db=())
 
 
 def test_sweep_single_point_matches_estimate_point():

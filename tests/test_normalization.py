@@ -88,7 +88,7 @@ NORMALIZED_SPECS = [
     CodecSpec("repetition", n=4),
     CodecSpec("shift_map", n=4, a=3),
     resolve_for_sigma(CodecSpec("shift_map", n=3), 10 ** (-55 / 20)),
-    CodecSpec("shift_map", n=3, b=(2, 5)),
+    CodecSpec("shift_map", n=3, a=5),
     CodecSpec("spherical", n=3, a=3),
     CodecSpec("scheme1", n=4, alpha=3.0),
     CodecSpec("scheme2", n=4, grouping_variant="shifted"),
@@ -159,7 +159,7 @@ def mod_encode(codec, x):
 
 
 SHIFT_SPECS = [CodecSpec("shift_map", n=4, a=3), CodecSpec("shift_map", n=3, a=16),
-               CodecSpec("shift_map", n=3, b=(2, 7)), CodecSpec("shift_map", n=2, a=1024)]
+               CodecSpec("shift_map", n=3, a=7), CodecSpec("shift_map", n=2, a=1024)]
 unit_floats = st.floats(min_value=-0.5, max_value=0.5, exclude_max=True,
                         allow_nan=False, allow_infinity=False)
 

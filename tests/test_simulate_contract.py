@@ -61,6 +61,9 @@ CAP_PATCHES = (
     # Terabytes per normalization block, refused before anything is built.
     ("curves", 0, {"codec": {"scheme": "repetition", "n": 10 ** 8}}),
     ("curves", 0, {"snr_grid_db": [3000.0, 3010.0], "fit_window_db": None}),
+    # Past the wrapper's decode window cap; each offset is an inner decode.
+    ("curves", 0, {"codec": {"scheme": "unbounded_wrap", "n": 2},
+                   "snr_grid_db": [-400.0]}),
     ("dimension_checks", 0, {"codec": {"scheme": "shift_map", "n": 3, "a": 2000}}),
     ("dimension_checks", 0, {"samples": cli.MAX_DIMENSION_SAMPLES + 1}),
 )
