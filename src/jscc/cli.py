@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -633,6 +634,9 @@ def run_stretch(args) -> int:
 # argument parsing
 
 
+# Built once per process: argparse reads nothing from one parse into the
+# next, and the build costs milliseconds that every in-process main pays.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jscc",

@@ -47,8 +47,8 @@ NORMALIZATION_SAMPLES = 10 ** 6
 # side, NORMALIZATION_BLOCK rows of each per encode.  Only the chunk length
 # shapes the sums; the other two trade speed against memory.
 NORMALIZATION_CHUNK = 1 << 16
-NORMALIZATION_GROUP = 4
-NORMALIZATION_BLOCK = 2048
+NORMALIZATION_GROUP = 8
+NORMALIZATION_BLOCK = 1024
 
 # Unit roundoff of float64, the bound on one rounding's relative error.
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0

@@ -7,8 +7,12 @@ import numpy as np
 from .base import Codec, CodecSpec, CapacityError, SEGMENT_CAP, UNIT_ROUNDOFF, _keep_best
 
 NEWTON_STEPS = 5
-# Correlations held at once by the spherical grid search.
-GRID_SCORES = 1 << 19
+# Correlations held at once by the spherical grid search: 512 KiB, which
+# stays in a core's L2 cache.  Its blocks hold whole tiles of SCORE_TILE
+# rows, a multiple of the 4-row tile of OpenBLAS's Nehalem gemm kernel, the
+# one x86 kernel tried that rounds a row by its place in the block.
+GRID_SCORES = 1 << 16
+SCORE_TILE = 8
 
 
 def optimal_a(sigma: float, n: int) -> tuple[int, bool]:
@@ -34,6 +38,18 @@ def optimal_a(sigma: float, n: int) -> tuple[int, bool]:
         raise CapacityError(f"noise level {sigma} asks for a stretch "
                             "multiplier past the float64 range")
     return max(2, math.floor(a)), True
+
+
+def _row_sums(t, out):
+    """t.sum(axis=1) into out, bit for bit.  numpy adds a row of fewer than
+    8 terms one term at a time from 0, as this does a column at a time,
+    which is faster on short rows; longer rows it sums pairwise itself."""
+    if t.shape[1] >= 8:
+        return np.add.reduce(t, axis=1, out=out)
+    np.add(t[:, 0], 0.0, out=out)
+    for j in range(1, t.shape[1]):
+        np.add(out, t[:, j], out=out)
+    return out
 
 
 class RepetitionCodec(Codec):
@@ -104,10 +120,12 @@ class ShiftMapCodec(Codec):
         s = np.empty((x.shape[0], self.spec.n))
         # x + 1/2 can round up to 1.0 at the open end; pull it back inside.
         s[:, 0] = np.minimum(x + 0.5, np.nextafter(1.0, 0.0))
+        v, whole = np.empty(x.shape[0]), np.empty(x.shape[0])
         for i, m in enumerate(self.spec.stage_multipliers()):
             # v mod 1 for v >= 0: exact, and +0.0 at integers, like np.mod.
-            v = m * s[:, i]
-            s[:, i + 1] = v - np.floor(v)
+            np.multiply(m, s[:, i], out=v)
+            np.floor(v, out=whole)
+            np.subtract(v, whole, out=s[:, i + 1])
         return s
 
     def _distances(self, t, y, y_dot_g, y_sq):
@@ -204,42 +222,84 @@ class SphericalCodec(Codec):
         if grid > SEGMENT_CAP:
             raise CapacityError(f"search grid {grid} exceeds the cap {SEGMENT_CAP}")
         self.grid_x = np.arange(grid) / grid
-        self.grid_table = self._points(self.grid_x)
+        # One column per grid point, so a block of rows scores the whole
+        # grid with one contiguous matrix product.
+        self.grid_table = np.ascontiguousarray(self._points(self.grid_x).T)
 
     def _points(self, unit_x):
-        phases = np.multiply.outer(np.asarray(unit_x, dtype=np.float64), self.freqs)
-        return self.scale * np.concatenate([np.cos(phases), np.sin(phases)], axis=-1)
+        unit_x = np.asarray(unit_x, dtype=np.float64)
+        n = self.spec.n
+        # A column at a time: numpy steps through a broadcast outer product
+        # only n values per inner loop.
+        phases = np.empty((unit_x.shape[0], n))
+        for j, freq in enumerate(self.freqs):
+            np.multiply(unit_x, freq, out=phases[:, j])
+        out = np.empty((unit_x.shape[0], 2 * n))
+        np.cos(phases, out=out[:, :n])
+        np.sin(phases, out=out[:, n:])
+        out *= self.scale
+        return out
 
     def encode(self, x):
         x = np.asarray(x, dtype=np.float64)
         return self._points(x + 0.5)
 
-    def _corr_derivs(self, unit_x, y):
-        phases = np.multiply.outer(unit_x, self.freqs)
-        yc = y[:, : self.spec.n]
-        ys = y[:, self.spec.n:]
-        cos, sin = np.cos(phases), np.sin(phases)
-        d1 = ((ys * cos - yc * sin) * self.freqs).sum(axis=1)
-        d2 = -((yc * cos + ys * sin) * self.freqs ** 2).sum(axis=1)
-        return d1, d2
-
     def decode(self, y, sigma=0.0):
         y = np.asarray(y, dtype=np.float64)
-        # Score the grid a bounded block of rows at a time.
-        rows = max(1, GRID_SCORES // len(self.grid_x))
-        win = np.empty(y.shape[0], dtype=np.intp)
-        for i in range(0, y.shape[0], rows):
-            win[i:i + rows] = np.argmax(y[i:i + rows] @ self.grid_table.T, axis=1)
-        step = 1.0 / len(self.grid_x)
+        m, n = y.shape[0], self.spec.n
+        grid = len(self.grid_x)
+        # Score the grid a cache-sized block of whole tiles of rows at a
+        # time, each block by one gemm.  A BLAS kernel may round a row in a
+        # part tile otherwise than in a whole one, and numpy hands a lone
+        # row to gemv, so a part tile is padded with zero rows: a row's
+        # scores do not depend on the batch around it.
+        rows = max(SCORE_TILE, GRID_SCORES // grid // SCORE_TILE * SCORE_TILE)
+        scores = np.empty((min(rows, -(-m // SCORE_TILE) * SCORE_TILE), grid))
+        win = np.empty(m, dtype=np.intp)
+        for i in range(0, m, rows):
+            block = y[i:i + rows]
+            count = block.shape[0]
+            if count % SCORE_TILE:
+                block = np.concatenate(
+                    [block, np.zeros((-count % SCORE_TILE, 2 * n))])
+            part = scores[:block.shape[0]]
+            np.matmul(block, self.grid_table, out=part)
+            np.argmax(part[:count], axis=1, out=win[i:i + count])
+        step = 1.0 / grid
         mid = self.grid_x[win]
         cell_lo, cell_hi = mid - step, mid + step
         # The grid spacing is at most 1/32 of the fastest period, so the
         # winner sits on the concave cap of its peak, where Newton steps
         # converge quadratically; a step where the curvature is not
-        # negative is skipped.
+        # negative is skipped.  Each step runs the ufuncs of the
+        # correlation's first two derivatives,
+        #   d1 = sum((ys * cos - yc * sin) * freqs),
+        #   d2 = -sum((yc * cos + ys * sin) * freqs**2),
+        # in that order, on buffers made once per decode.
+        yc = np.ascontiguousarray(y[:, :n])
+        ys = np.ascontiguousarray(y[:, n:])
+        freqs = np.tile(self.freqs, (m, 1))
+        freqs_sq = np.tile(self.freqs ** 2, (m, 1))
+        phases, cos, sin, t1, t2 = (np.empty((m, n)) for _ in range(5))
+        d1, d2, delta = np.empty(m), np.empty(m), np.empty(m)
         for _ in range(NEWTON_STEPS):
-            d1, d2 = self._corr_derivs(mid, y)
-            delta = np.where(d2 < 0.0, d1 / d2, 0.0)
-            mid = np.clip(mid - delta, cell_lo, cell_hi)
+            np.multiply(mid[:, None], freqs, out=phases)
+            np.cos(phases, out=cos)
+            np.sin(phases, out=sin)
+            np.multiply(ys, cos, out=t1)
+            np.multiply(yc, sin, out=t2)
+            np.subtract(t1, t2, out=t1)
+            np.multiply(t1, freqs, out=t1)
+            _row_sums(t1, d1)
+            np.multiply(yc, cos, out=t1)
+            np.multiply(ys, sin, out=t2)
+            np.add(t1, t2, out=t1)
+            np.multiply(t1, freqs_sq, out=t1)
+            _row_sums(t1, d2)
+            np.negative(d2, out=d2)
+            np.divide(d1, d2, out=delta)
+            np.copyto(delta, 0.0, where=~(d2 < 0.0))
+            np.subtract(mid, delta, out=mid)
+            np.clip(mid, cell_lo, cell_hi, out=mid)
         x_unit = np.mod(mid, 1.0)
         return x_unit - 0.5

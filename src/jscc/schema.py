@@ -8,7 +8,7 @@ fields the object must have.  Every type has one rule:
   integer   a JSON integer, or a float with no fractional part; becomes int
   number    a JSON integer or float; becomes float
   string    a JSON string
-  label     a string with a non-space character and no comma or newline,
+  label     a string with a non-space character and no comma or line break,
             as a CSV cell and a summary line need
   list      a JSON array of entries of one type; becomes a tuple
   object    a JSON object, checked against its own table where it is read
@@ -60,9 +60,11 @@ def _number(value):
 INTEGER = JsonType("an integer", _integer)
 NUMBER = JsonType("a number", _number)
 STRING = JsonType("a string", lambda v: v if isinstance(v, str) else None)
-LABEL = JsonType("a non-empty string with no comma or newline",
+# A label holds none of the characters str.splitlines breaks on (\r, \v,
+# \x85 and U+2028 among them), since a CSV or summary reader may split there.
+LABEL = JsonType("a non-empty string with no comma or line break",
                  lambda v: v if isinstance(v, str) and v.strip()
-                 and "," not in v and "\n" not in v else None)
+                 and "," not in v and v.splitlines() == [v] else None)
 OBJECT = JsonType("an object", lambda v: v if isinstance(v, dict) else None)
 VERSION = JsonType(str(SCHEMA_VERSION),
                    lambda v: v if _integer(v) == SCHEMA_VERSION else None)

@@ -162,8 +162,8 @@ def test_parse_config_happy_path():
     (lambda d: d["overlays"][0].update(scale=True), "overlays[0]: scale must be a number"),
     # An overlay label has the curve label's type.
     (lambda d: d["overlays"][0].update(label="a\nb"),
-     "overlays[0]: label must be a non-empty string with no comma or newline, "
-     "got 'a\\nb'"),
+     "overlays[0]: label must be a non-empty string with no comma or line "
+     "break, got 'a\\nb'"),
     (lambda d: d["overlays"][1].update(label="a,b"),
      "overlays[1]: label must be a non-empty string with no comma"),
     (lambda d: d["overlays"][0].update(label=""),
@@ -185,6 +185,30 @@ def test_parse_config_rejections(mutate, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(data)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("brk", ["\r", "\x0b", "\x85", "\u2028"])
+@pytest.mark.parametrize("where", ["curve", "check", "overlay"])
+def test_a_label_with_a_line_break_exits_2_and_writes_nothing(
+        tmp_path, capsys, where, brk):
+    # str.splitlines, and so csv.reader and a summary reader, break on each.
+    label = f"a{brk}b"
+    data = _tiny_config()
+    if where == "curve":
+        data["curves"][0]["label"] = label
+    elif where == "check":
+        _with_check(label=label)(data)
+    else:
+        data["overlays"][0]["label"] = label
+    cfg = tmp_path / "labels.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert ("label must be a non-empty string with no comma or line break, "
+            f"got {label!r}\n") in err
+    assert not out.exists()
 
 
 def test_sweep_defaults_are_the_sweep_plan_defaults():

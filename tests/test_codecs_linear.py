@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from jscc import channel
 from jscc.codecs import CodecSpec, build_codec, CapacityError
-from jscc.codecs.linear import optimal_a
+from jscc.codecs.linear import _row_sums, optimal_a
 
 
 def make(scheme, **kw):
@@ -271,11 +271,23 @@ def _correlation(c, unit_x, y):
                       + (np.sin(phases) * y[:, n:]).sum(axis=1))
 
 
+def _corr_derivs(c, unit_x, y):
+    """First and second derivatives of the correlation in unit_x, formed as
+    the decoder's Newton step forms them."""
+    phases = np.multiply.outer(unit_x, c.freqs)
+    n = c.spec.n
+    yc, ys = y[:, :n], y[:, n:]
+    cos, sin = np.cos(phases), np.sin(phases)
+    d1 = ((ys * cos - yc * sin) * c.freqs).sum(axis=1)
+    d2 = -((yc * cos + ys * sin) * c.freqs ** 2).sum(axis=1)
+    return d1, d2
+
+
 def _golden_section_decode(c, y, iters=48):
     """Grid winner refined by golden section on its cell, then polished by
     three clipped Newton steps."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    win = np.argmax(y @ c.grid_table.T, axis=1)
+    win = np.argmax(y @ c.grid_table, axis=1)
     step = 1.0 / len(c.grid_x)
     lo, hi = c.grid_x[win] - step, c.grid_x[win] + step
     cell_lo, cell_hi = lo.copy(), hi.copy()
@@ -289,7 +301,7 @@ def _golden_section_decode(c, y, iters=48):
         fp, fq = _correlation(c, p, y), _correlation(c, q, y)
     mid = 0.5 * (lo + hi)
     for _ in range(3):
-        d1, d2 = c._corr_derivs(mid, y)
+        d1, d2 = _corr_derivs(c, mid, y)
         mid = np.clip(mid - np.where(d2 < 0.0, d1 / d2, 0.0), cell_lo, cell_hi)
     return np.mod(mid, 1.0) - 0.5
 
@@ -308,6 +320,89 @@ def test_spherical_newton_refine_matches_golden_section(a, n, snr_db):
     diff = np.abs(out - ref)
     assert np.max(np.minimum(diff, 1.0 - diff)) <= 1e-15
     assert np.all(_correlation(c, out + 0.5, y) >= _correlation(c, ref + 0.5, y) - 1e-14)
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_row_sums_are_numpy_row_sums_bit_for_bit(width):
+    rng = np.random.default_rng(width)
+    t = rng.standard_normal((500, width)) * 10.0 ** rng.integers(-20, 21, (500, width))
+    t[::7] = -0.0
+    t[1, 0], t[2, -1], t[3, 0], t[4, -1] = np.nan, np.inf, -np.inf, 1e308
+    t[4, 0] = 1e308
+    out = np.empty(500)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _row_sums(t, out).tobytes() == t.sum(axis=1).tobytes()
+
+
+def _reference_points(c, unit_x):
+    """The spherical encoder as first written: cos and sin concatenated,
+    then scaled."""
+    phases = np.multiply.outer(np.asarray(unit_x, dtype=np.float64), c.freqs)
+    return c.scale * np.concatenate([np.cos(phases), np.sin(phases)], axis=-1)
+
+
+def _reference_decode(c, y):
+    """The spherical decoder as first written: a (grid, 2n) table scored
+    2**19 correlations at a time, then five clipped Newton steps, each on
+    fresh arrays."""
+    table = _reference_points(c, c.grid_x)
+    rows = max(1, (1 << 19) // len(c.grid_x))
+    win = np.empty(y.shape[0], dtype=np.intp)
+    for i in range(0, y.shape[0], rows):
+        win[i:i + rows] = np.argmax(y[i:i + rows] @ table.T, axis=1)
+    step = 1.0 / len(c.grid_x)
+    mid = c.grid_x[win]
+    cell_lo, cell_hi = mid - step, mid + step
+    for _ in range(5):
+        d1, d2 = _corr_derivs(c, mid, y)
+        mid = np.clip(mid - np.where(d2 < 0.0, d1 / d2, 0.0), cell_lo, cell_hi)
+    return np.mod(mid, 1.0) - 0.5
+
+
+@pytest.mark.parametrize("a,n", [(2, 2), (3, 3), (4, 2), (5, 2)])
+def test_spherical_matches_the_reference_code_bit_for_bit(a, n):
+    # Blocks of 64 rows score the grid, so batches of 63, 64 and 65 rows end
+    # short of a block, on one and one row past it.
+    sizes = (1, 63, 64, 65, 1000, 4096)
+    c = make("spherical", n=n, a=a)
+    rng = np.random.default_rng(100 * a + n)
+    x = rng.uniform(-0.5, 0.5, 4096)
+    x[[3, 64, 900]] = np.nan, np.inf, -np.inf
+    with np.errstate(invalid="ignore"):
+        code = c.encode(x)
+        assert code.tobytes() == _reference_points(c, x + 0.5).tobytes()
+        for m in sizes:
+            assert c.encode(x[:m]).tobytes() == code[:m].tobytes()
+    noise = rng.standard_normal(code.shape)
+    for snr_db in range(-10, 61, 10):
+        sigma = channel.sigma_from_snr_db(snr_db) / math.sqrt(2 * n)
+        y = code + sigma * noise
+        # Rows with no finite answer, one of them alone in its block, and a
+        # row where every score ties and no step has negative curvature.
+        y[[62, 64, 500]] = [[np.nan], [np.inf], [-np.inf]]
+        y[700, :n] = np.inf
+        y[700, n:] = -np.inf
+        y[2000] = 0.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for m in sizes:
+                assert c.decode(y[:m]).tobytes() == _reference_decode(c, y[:m]).tobytes(), (snr_db, m)
+            for row in (62, 64, 700, 2000):
+                lone = y[row:row + 1]
+                assert c.decode(lone).tobytes() == _reference_decode(c, lone).tobytes(), (snr_db, row)
+
+
+@pytest.mark.parametrize("a,n", [(2, 2), (3, 3), (4, 2)])
+def test_spherical_decode_does_not_depend_on_the_batch(a, n):
+    # Halfway between two neighbouring grid points the two scores tie in
+    # exact arithmetic, so the winner rests on the last bit of each score.
+    # A row decoded alone must still see the scores it sees in a batch.
+    c = make("spherical", n=n, a=a)
+    k = np.random.default_rng(5).integers(0, len(c.grid_x) - 1, 512)
+    grid_points = c._points(c.grid_x)
+    y = 0.5 * (grid_points[k] + grid_points[k + 1])
+    whole = c.decode(y)
+    for i in range(len(y)):
+        assert c.decode(y[i:i + 1]).tobytes() == whole[i:i + 1].tobytes(), i
 
 
 def test_spherical_decode_range():
