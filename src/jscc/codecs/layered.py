@@ -211,8 +211,8 @@ def fold_digits(u: np.ndarray, p: int, bits, weights, out=None) -> np.ndarray:
     """
     if out is None:
         out = np.zeros(np.shape(u))
-    # Reused buffers: at normalization's 65 536-row chunks, fresh temporaries
-    # for every slot cost about three times the arithmetic itself.
+    # Reused buffers: on batches of thousands of rows, fresh temporaries for
+    # every slot cost about three times the arithmetic itself.
     digit = np.empty_like(u)
     term = np.empty_like(out)
     for bit, w in zip(bits, weights):

@@ -938,6 +938,9 @@ def test_bad_dimension_check_fails_before_any_csv(tmp_path, codec, code):
     ({"scheme": "unbounded_wrap", "n": 2}, -400.0, 3,
      "capacity error: decode noise level 7.42385e+19 puts up to 5.93908e+20 "
      "integer offsets in a row's window, past the cap 1024\n"),
+    # A spherical search grid of 32 * a**(n - 1) points, one a past the cap.
+    ({"scheme": "spherical", "n": 2, "a": 32769}, 30.0, 3,
+     "capacity error: search grid 1048608 exceeds the cap 1048576\n"),
 ])
 def test_extreme_stretches_and_noise_levels_fail_before_any_sweep(
         tmp_path, monkeypatch, capsys, codec, snr, code, message):
