@@ -60,8 +60,7 @@ def resolve_for_sigma(spec: CodecSpec, sigma: float) -> CodecSpec:
     if not spec.is_family:
         return spec
     if "a" in _SCHEMES[spec.scheme].open:
-        a, _ = optimal_a(sigma, spec.n)
-        return replace(spec, a=a)
+        return replace(spec, a=optimal_a(sigma, spec.n))
     k = digital_depth_for_sigma(sigma)
     if spec.digital_bits(k) > spec.p:
         raise CapacityError(

@@ -90,27 +90,23 @@ class CodecSpec:
                 f"{self.dims} channel dimensions exceed the cap {DIMS_CAP}")
         if self.n < scheme.least_n:
             raise ValueError(f"{self.scheme} needs n >= {scheme.least_n}, got {self.n}")
-        # Each field the scheme reads meets its rule once, if given or needed.
-        for name in scheme.reads:
-            if getattr(self, name) is None and name not in scheme.needs:
-                continue
-            if name == "a" and self.a is None:
-                raise ValueError(f"{self.scheme} code needs the multiplier a")
-            if name == "a" and self.a < 2:
-                raise ValueError(
-                    f"stage multiplier must be an integer >= 2, got {self.a!r}")
-            if name == "alpha" and (self.alpha is None or not self.alpha > 2.0):
-                raise ValueError(f"{self.scheme} needs a digit base alpha > 2")
-            if name == "k":
-                if self.k < 1:
-                    raise ValueError(f"k must be >= 1, got {self.k}")
-                if self.k > K_CAP:
-                    raise CapacityError(f"k={self.k} exceeds the cap {K_CAP}")
-                bits = self.digital_bits(self.k)
-                if bits > self.p:
-                    need = "n*k" if bits == self.n * self.k else "n*k-1"
-                    raise ValueError(
-                        f"{self.scheme} needs {need} <= p, got {bits} > {self.p}")
+        # refuse_unread has passed, so a, alpha and k are set only on a
+        # scheme that reads them, and no scheme reads more than one.
+        if self.a is None and "a" in scheme.needs:
+            raise ValueError(f"{self.scheme} code needs the multiplier a")
+        if self.a is not None and self.a < 2:
+            raise ValueError(f"stage multiplier must be an integer >= 2, got {self.a!r}")
+        if "alpha" in scheme.needs and (self.alpha is None or not self.alpha > 2.0):
+            raise ValueError(f"{self.scheme} needs a digit base alpha > 2")
+        if self.k is not None:
+            if self.k < 1:
+                raise ValueError(f"k must be >= 1, got {self.k}")
+            if self.k > K_CAP:
+                raise CapacityError(f"k={self.k} exceeds the cap {K_CAP}")
+            bits = self.digital_bits(self.k)
+            if bits > self.p:
+                need = "n*k" if bits == self.n * self.k else "n*k-1"
+                raise ValueError(f"{self.scheme} needs {need} <= p, got {bits} > {self.p}")
 
     def digital_bits(self, k: int) -> int:
         """Source bits a type1 or type2 digital layer of depth k takes: k per
@@ -134,12 +130,6 @@ class CodecSpec:
     @property
     def source_variance(self) -> float:
         return numrep.SOURCE_VARIANCE[self.source_kind]
-
-    def stage_multipliers(self) -> tuple[int, ...]:
-        """Per-stage multipliers of a concrete shift map."""
-        if self.a is None:
-            raise ValueError("family spec has no concrete multipliers yet")
-        return (self.a,) * (self.n - 1)
 
     def describe(self) -> str:
         reads = _SCHEMES[self.scheme].reads

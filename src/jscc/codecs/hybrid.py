@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .base import Codec, CodecSpec
-from .layered import FoldTable, build_streams, decode_stream, fold_digits, spread_digits
+from .layered import FoldTable, build_streams, decode_stream, spread_digits
 from .. import numrep
 
 
@@ -42,20 +42,19 @@ class PatternTable:
 
     def __init__(self, weights: np.ndarray):
         self.m = len(weights)
-        pats = np.arange(1 << self.m, dtype=np.int64)
-        vals = fold_digits(pats, self.m, range(self.m), weights)
-        order = np.lexsort((pats, vals))
-        sv, sp = vals[order], pats[order]
-        keep = np.ones(len(sv), dtype=bool)
-        keep[1:] = sv[1:] != sv[:-1]
-        self.values = sv[keep]
-        self.patterns = sp[keep]
+        # Entry p of vals is the weighted sum of pattern p's bits, weights[0]
+        # on the most significant, added in weight order as fold_digits does.
+        vals = np.zeros(1)
+        for w in weights:
+            vals = np.add.outer(vals, [0.0, w]).ravel()
+        # np.unique sorts stably, so each value's first index is its smallest
+        # pattern; int64, which spread_digits' shifts cannot overflow.
+        self.values, first = np.unique(vals, return_index=True)
+        self.patterns = first.astype(np.int64)
 
-    def nearest(self, y, points=None) -> np.ndarray:
-        """Index of the entry whose point (sorted, one per entry; default the
-        values themselves) lies nearest to y."""
-        if points is None:
-            points = self.values
+    def nearest(self, y, points) -> np.ndarray:
+        """Index of the entry whose point (sorted, one per entry) lies
+        nearest to y."""
         idx = np.searchsorted(points, y)
         lo = np.clip(idx - 1, 0, len(points) - 1)
         hi = np.clip(idx, 0, len(points) - 1)
@@ -108,7 +107,7 @@ class Type1Codec(Codec):
         n = self.spec.n
         d = np.zeros(y.shape[0], dtype=np.int64)
         for j in range(n - 1):
-            d |= self.masks[j].take(self.full_table.nearest(y[:, j]))
+            d |= self.masks[j].take(self.full_table.nearest(y[:, j], self.full_table.values))
         # The last dimension: the nearest point on the union of segments.
         y_last = y[:, n - 1]
         sel = self.analog_table.nearest(y_last, self.analog_centers)

@@ -15,29 +15,29 @@ GRID_SCORES = 1 << 16
 SCORE_TILE = 8
 
 
-def optimal_a(sigma: float, n: int) -> tuple[int, bool]:
+def optimal_a(sigma: float, n: int) -> int:
     """Stretch multiplier that balances segment-jump errors against in-segment
-    noise, with its validity flag.
+    noise.
 
-    Valid while sigma * sqrt(-log sigma) <= 1 / (16 sqrt(n)); outside that
-    range the noise is too large for the rule and the minimum a = 2 is
-    returned with the flag cleared.  A noise level so small that the
-    multiplier passes the float64 range is a CapacityError.
+    The rule holds while sigma * sqrt(-log sigma) <= 1 / (16 sqrt(n)); past
+    that the noise is too large for it and the minimum a = 2 is returned.
+    A noise level so small that the multiplier passes the float64 range is
+    a CapacityError.
     """
     if n < 2:
         raise ValueError("needs n >= 2")
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     if sigma >= 1.0:
-        return 2, False
+        return 2
     spread = sigma * math.sqrt(-math.log(sigma))
     if spread > 1.0 / (16.0 * math.sqrt(n)):
-        return 2, False
+        return 2
     a = 1.0 / (8.0 * math.sqrt(n) * spread)
     if a == math.inf:
         raise CapacityError(f"noise level {sigma} asks for a stretch "
                             "multiplier past the float64 range")
-    return max(2, math.floor(a)), True
+    return max(2, math.floor(a))
 
 
 def _row_sums(t, out):
@@ -65,13 +65,13 @@ class ShiftMapCodec(Codec):
     """Chained mod-1 stretching.
 
     The source is shifted to the unit interval, x' = x + 1/2, then s_1 = x'
-    and s_{i+1} = (b_i * s_i) mod 1, so dimension i traces the line
-    g_i * x' mod 1 with g_i the product of the first i-1 multipliers.  The
-    affine shift keeps the two ends of the source interval at the two far
-    ends of the folded curve; wrapping x instead would park them side by
-    side mid-curve, where boundary noise swaps them at cost O(1) per event.
-    The image is a stack of prod(b) parallel segments, segment t covering
-    x' in [t/B, (t+1)/B) with B = prod(b).
+    and s_{i+1} = (a * s_i) mod 1, so dimension i traces the line
+    g_i * x' mod 1 with gain g_i = a^(i-1).  The affine shift keeps the two
+    ends of the source interval at the two far ends of the folded curve;
+    wrapping x instead would park them side by side mid-curve, where
+    boundary noise swaps them at cost O(1) per event.  The image is a stack
+    of B = a^(n-1) parallel segments, segment t covering x' in
+    [t/B, (t+1)/B).
 
     Decoding is exact ML: the nearest point over all segments, ties going
     to the smaller source value.  Because s_1 = x' is unstretched, the
@@ -88,16 +88,14 @@ class ShiftMapCodec(Codec):
 
     def __init__(self, spec: CodecSpec):
         super().__init__(spec)
-        b = spec.stage_multipliers()
-        # Python ints, which cannot wrap, so the cap sees the true count
+        # A Python int, which cannot wrap, so the cap sees the true count
         # before any int64 array holds it.
-        self.segments = math.prod(int(m) for m in b)
+        self.segments = spec.a ** (spec.n - 1)
         if self.segments > SEGMENT_CAP:
             raise CapacityError(
                 f"{self.segments} segments exceed the cap {SEGMENT_CAP}")
-        self.gains = np.ones(spec.n)
-        for i, m in enumerate(b):
-            self.gains[i + 1] = self.gains[i] * m
+        # Exact powers: each is an integer at most SEGMENT_CAP.
+        self.gains = np.array([spec.a ** i for i in range(spec.n)], dtype=np.float64)
         self.gain_sq = float(self.gains @ self.gains)
         t = np.arange(self.segments, dtype=np.int64)
         # Integer offsets c of each dimension on segment t, exact by
@@ -121,9 +119,9 @@ class ShiftMapCodec(Codec):
         # x + 1/2 can round up to 1.0 at the open end; pull it back inside.
         s[:, 0] = np.minimum(x + 0.5, np.nextafter(1.0, 0.0))
         v, whole = np.empty(x.shape[0]), np.empty(x.shape[0])
-        for i, m in enumerate(self.spec.stage_multipliers()):
+        for i in range(self.spec.n - 1):
             # v mod 1 for v >= 0: exact, and +0.0 at integers, like np.mod.
-            np.multiply(m, s[:, i], out=v)
+            np.multiply(self.spec.a, s[:, i], out=v)
             np.floor(v, out=whole)
             np.subtract(v, whole, out=s[:, i + 1])
         return s

@@ -64,7 +64,7 @@ class UnboundedWrapCodec(Codec):
         centre = np.nan_to_num(first, nan=0.0)
         lo = np.floor(np.clip(centre - radius, -INTEGER_LIMIT, INTEGER_LIMIT)).astype(np.int64)
         hi = np.ceil(np.clip(centre + radius, -INTEGER_LIMIT, INTEGER_LIMIT)).astype(np.int64)
-        span = int(np.max(hi - lo)) + 1
+        span = int(np.max(hi - lo, initial=0)) + 1
         for off in range(span):
             cand = lo + off
             shifted = y.copy()

@@ -23,7 +23,8 @@ MAX_PRECISION = 52
 
 
 def _check_unit_range(x) -> None:
-    if np.any(x < -0.5) or np.any(x >= 0.5) or not np.all(np.isfinite(x)):
+    # Every comparison with NaN is false, so NaN fails too.
+    if not np.all((x >= -0.5) & (x < 0.5)):
         raise ValueError("sample outside [-1/2, 1/2)")
 
 

@@ -178,6 +178,14 @@ def test_parse_config_happy_path():
         curves=[], overlays=[],
         sweep={"min_trials": -5, "max_trials": -10, "rel_se_target": 7.0})),
      "sweep: min_trials must be positive"),
+    (lambda d: d["curves"].extend(
+        [dict(d["curves"][0], label="a b"), dict(d["curves"][0], label="a_b")]),
+     "labels collide after filename sanitizing"),
+    (lambda d: d.pop("snr_grid_db"), "curves[0]: no snr grid given and no default set"),
+    (lambda d: d["curves"][0].update(fit_window_db=[10.0, 20.0, 25.0]),
+     "curves[0]: fit_window_db must be [lo, hi]"),
+    (lambda d: (_with_check()(d), d.update(curves=[])),
+     "overlays need at least one curve to plot against"),
 ])
 def test_parse_config_rejections(mutate, fragment):
     data = _tiny_config()
@@ -320,8 +328,12 @@ def test_csv_reader_rejects_garbage(tmp_path):
 
 
 def test_simulate_end_to_end(tmp_path, capsys):
+    data = _tiny_config()
+    rep = data["curves"][0]["codec"]
+    data["curves"] += [{"label": "no window", "codec": rep},
+                       {"label": "narrow", "codec": rep, "fit_window_db": [11.0, 14.0]}]
     cfg = tmp_path / "exp.json"
-    cfg.write_text(json.dumps(_tiny_config()))
+    cfg.write_text(json.dumps(data))
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(cfg),
                      "--out", str(out)]) == 0
@@ -334,9 +346,11 @@ def test_simulate_end_to_end(tmp_path, capsys):
     assert len(rows) == 4
     assert all(lbl == "rep" for lbl, _ in rows)
     svg = (out / "tiny.svg").read_text()
-    assert svg.count('class="curve"') == 1
+    assert svg.count('class="curve"') == 3
     assert svg.count('class="overlay"') == 2
-    assert (out / "tiny_summary.txt").exists()
+    summary = (out / "tiny_summary.txt").read_text().splitlines()
+    assert "curve no window: 4 points, 0 capped, no fit window" in summary
+    assert "curve narrow: 4 points, 0 capped, fit window: too few points" in summary
 
 
 def test_simulate_worker_count_invariance(tmp_path):

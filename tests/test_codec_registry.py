@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from jscc.codecs import (
@@ -15,21 +16,31 @@ from jscc.codecs import (
 )
 
 
+CONCRETE = {spec.scheme: spec for spec in [
+    CodecSpec("repetition", n=2),
+    CodecSpec("shift_map", n=3, a=2),
+    CodecSpec("spherical", n=2, a=3),
+    CodecSpec("scheme1", n=2, alpha=3.0),
+    CodecSpec("scheme2", n=4, grouping_variant="shifted"),
+    CodecSpec("type1", n=2, k=3),
+    CodecSpec("type2", n=2, k=3),
+    CodecSpec("unbounded_wrap", n=2),
+]}
+
+
 def test_every_concrete_scheme_builds():
-    specs = [
-        CodecSpec("repetition", n=2),
-        CodecSpec("shift_map", n=3, a=2),
-        CodecSpec("spherical", n=2, a=3),
-        CodecSpec("scheme1", n=2, alpha=3.0),
-        CodecSpec("scheme2", n=4, grouping_variant="shifted"),
-        CodecSpec("type1", n=2, k=3),
-        CodecSpec("type2", n=2, k=3),
-        CodecSpec("unbounded_wrap", n=2),
-    ]
-    for spec in specs:
+    assert set(CONCRETE) == set(SCHEMES)
+    for spec in CONCRETE.values():
         codec = build_codec(spec)
         assert codec.dims == spec.dims
         assert spec.scheme in codec.spec.describe()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_an_empty_batch_codes_to_empty_arrays(scheme):
+    codec = build_codec(CONCRETE[scheme])
+    assert codec.encode(np.empty(0)).shape == (0, codec.dims)
+    assert codec.decode(np.empty((0, codec.dims)), sigma=0.1).shape == (0,)
 
 
 def test_family_specs_need_resolution():

@@ -7,6 +7,7 @@ import pytest
 
 from jscc.codecs import CodecSpec, build_codec
 from jscc.codecs.hybrid import PatternTable, protection_weights
+from jscc.codecs.layered import fold_digits
 from jscc.numrep import unit_fraction_ints
 
 
@@ -30,6 +31,33 @@ def test_pattern_table_dedupes_to_smallest_pattern():
     assert table.values[idx] == 0.625
     # 1001 (9) and 0110 (6) collide; the smaller pattern survives.
     assert table.patterns[idx] == 6
+
+
+def lexsort_table(weights):
+    """Every pattern's value by fold_digits, sorted by (value, pattern),
+    keeping the first pattern of each value."""
+    m = len(weights)
+    pats = np.arange(1 << m, dtype=np.int64)
+    vals = fold_digits(pats, m, range(m), weights)
+    order = np.lexsort((pats, vals))
+    sv, sp = vals[order], pats[order]
+    keep = np.ones(len(sv), dtype=bool)
+    keep[1:] = sv[1:] != sv[:-1]
+    return sv[keep], sp[keep]
+
+
+@pytest.mark.parametrize("weights", [
+    *(protection_weights(k) for k in range(1, 17)),
+    *(protection_weights(k)[:k - 1] for k in range(1, 17)),
+    np.array([0.5, 0.375, 0.25, 0.125]),
+], ids=[*(f"k={k}" for k in range(1, 17)), *(f"k={k} analog" for k in range(1, 17)),
+        "collision"])
+def test_pattern_table_matches_the_lexsort_table(weights):
+    table = PatternTable(weights)
+    values, patterns = lexsort_table(weights)
+    assert table.values.dtype == values.dtype and table.patterns.dtype == patterns.dtype
+    assert table.values.tobytes() == values.tobytes()
+    assert table.patterns.tobytes() == patterns.tobytes()
 
 
 def test_type1_worked_example():
@@ -149,7 +177,7 @@ def _segment_search_decode(codec, y):
     n = codec.spec.n
     d = np.zeros(y.shape[0], dtype=np.int64)
     for j in range(n - 1):
-        d |= codec.masks[j].take(codec.full_table.nearest(y[:, j]))
+        d |= codec.masks[j].take(codec.full_table.nearest(y[:, j], codec.full_table.values))
     sel, frac = _segment_search(codec, y[:, n - 1])
     d |= codec.masks[-1].take(sel)
     return (np.ldexp(d.astype(np.float64), -codec.m) - 0.5) + frac * math.ldexp(1.0, -codec.m)

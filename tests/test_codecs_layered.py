@@ -12,20 +12,11 @@ from hypothesis import given, settings, strategies as st
 from jscc.codecs import CodecSpec, build_codec, hybrid, layered
 from jscc.codecs.layered import build_streams, group_size
 from jscc.numrep import unit_fraction_ints
+from test_codecs_fractal import decoded_digits, digits
 
 
 def make(n, variant="standard", p=48):
     return build_codec(CodecSpec("scheme2", n=n, p=p, grouping_variant=variant))
-
-
-def digits(u, p):
-    """(rows, p) digits of truncation integers, source bit 0 first."""
-    return ((np.asarray(u)[:, None] >> np.arange(p - 1, -1, -1)) & 1).astype(np.uint8)
-
-
-def decoded_digits(c, y):
-    """Digits of the decoded cell; exact since decode returns cell midpoints."""
-    return digits(unit_fraction_ints(c.decode(y), c.spec.p), c.spec.p)
 
 
 def test_layout_example_two_dims():

@@ -155,7 +155,7 @@ def _dense_shiftmap_decode(c, y):
        fixed_a=st.sampled_from([None, 2, 3]), seed=st.integers(0, 2 ** 32 - 1))
 def test_shiftmap_decode_matches_dense_scan_bit_for_bit(n, snr_db, fixed_a, seed):
     sigma = channel.sigma_from_snr_db(snr_db)
-    a = fixed_a if fixed_a is not None else optimal_a(sigma, n)[0]
+    a = fixed_a if fixed_a is not None else optimal_a(sigma, n)
     assume(a ** (n - 1) <= 2 ** 14)  # keeps the dense scan quick
     c = make("shift_map", n=n, a=a)
     rng = np.random.default_rng(seed)
@@ -188,24 +188,21 @@ def test_shiftmap_exact_tie_goes_to_smaller_source():
 # ------------------------------------------------------------ optimal stretch
 
 def test_optimal_a_worked_example():
-    a, ok = optimal_a(1e-3, 2)
-    assert (a, ok) == (33, True)
+    assert optimal_a(1e-3, 2) == 33
 
 
-def test_optimal_a_flags_large_noise():
-    a, ok = optimal_a(0.6, 2)
-    assert (a, ok) == (2, False)
+def test_optimal_a_is_two_at_large_noise():
+    assert optimal_a(0.6, 2) == 2
 
 
 def test_optimal_a_never_below_two():
     sigma = 1.0 / (16.0 * math.sqrt(2)) / math.sqrt(-math.log(0.02))
-    a, _ = optimal_a(sigma, 2)
-    assert a >= 2
+    assert optimal_a(sigma, 2) >= 2
 
 
 def test_optimal_a_nonincreasing_in_sigma():
     sigmas = np.logspace(-6, -2, 60)
-    values = [optimal_a(s, 2)[0] for s in sigmas]
+    values = [optimal_a(s, 2) for s in sigmas]
     assert all(v1 >= v2 for v1, v2 in zip(values, values[1:]))
 
 

@@ -153,8 +153,8 @@ def mod_encode(codec, x):
     """The shift map's encode with the stages formed by np.mod."""
     s = np.empty((x.shape[0], codec.spec.n))
     s[:, 0] = np.minimum(x + 0.5, np.nextafter(1.0, 0.0))
-    for i, m in enumerate(codec.spec.stage_multipliers()):
-        s[:, i + 1] = np.mod(m * s[:, i], 1.0)
+    for i in range(codec.spec.n - 1):
+        s[:, i + 1] = np.mod(codec.spec.a * s[:, i], 1.0)
     return s
 
 

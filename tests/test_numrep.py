@@ -147,6 +147,9 @@ def test_out_of_range_rejected():
         to_bits(0.5)
     with pytest.raises(ValueError):
         to_bits(-0.5000001)
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            to_bits(x)
     with pytest.raises(ValueError):
         to_bits(0.1, p=53)
     with pytest.raises(ValueError):
