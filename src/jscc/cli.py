@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import functools
 import json
 import math
@@ -404,6 +405,18 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _print(text: str) -> None:
+    """The one place the CLI writes to stdout, flushed at once: a closed or
+    broken stdout is an OSError naming <stdout>, so exit 4."""
+    if sys.stdout is None:  # the process started with fd 1 closed
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, "<stdout>") from exc
+
+
 def _overlay_points(job: OverlayJob, curves_by_label, all_points):
     snrs = [p.snr_db for pts in all_points.values() for p in pts]
     snr_lo = max(min(snrs), _OVERLAY_SNR_FLOOR)
@@ -553,7 +566,7 @@ def run_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for name, text in files:
         _write(os.path.join(args.out, name), text)
-    sys.stdout.write(files[-1][1])
+    _print(files[-1][1])
     return 0
 
 
@@ -597,7 +610,7 @@ def run_bounds(args) -> int:
     _write(args.out, _csv("kind,sigma,distortion",
                           [f"{spec.kind},{s!r},{v!r}"
                            for s, v in zip(sig.tolist(), vals.tolist())]))
-    print(f"wrote {args.points} rows for {spec.describe()} to {args.out}")
+    _print(f"wrote {args.points} rows for {spec.describe()} to {args.out}\n")
     return 0
 
 
@@ -608,8 +621,8 @@ def run_dimension(args) -> int:
                        samples=_check_samples(args.samples, "--samples"))
     est = _dimension_estimate(job, _check_seed(args.seed, "--seed"), 0)
     _write(args.out, _boxcount_csv(est))
-    print(f"fitted_dimension {est.fitted_dimension:.4f} "
-          f"saturated {int(est.saturated)} residual {est.fit_residual:.4f}")
+    _print(f"fitted_dimension {est.fitted_dimension:.4f} "
+           f"saturated {int(est.saturated)} residual {est.fit_residual:.4f}\n")
     return 0
 
 
@@ -626,7 +639,7 @@ def run_stretch(args) -> int:
     _write(args.out, _csv("delta,mean_square",
                           [f"{d!r},{v!r}"
                            for d, v in zip(prof.deltas, prof.mean_square)]))
-    print(f"gamma {prof.gamma:.4f} residual {prof.fit_residual:.4f}")
+    _print(f"gamma {prof.gamma:.4f} residual {prof.fit_residual:.4f}\n")
     return 0
 
 

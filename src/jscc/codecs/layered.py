@@ -192,11 +192,24 @@ def build_streams(n: int, p: int, variant: str = "standard") -> list[DigitStream
 
 
 def spread_digits(leaves: np.ndarray, k: int, shifts) -> np.ndarray:
-    """Masks of k-digit numbers (first digit most significant) with digit i
-    moved to bit shifts[i]: a table entry's digits, ready to OR into u."""
+    """Masks of k-digit int64 numbers (first digit most significant) with
+    digit i moved to bit shifts[i]: a table entry's digits, ready to OR into u.
+
+    Each byte of the leaves is looked up in a 256-entry table of the masks
+    of its digits, so a table of millions of entries costs a few passes, not
+    a few per digit.
+    """
+    byte = np.arange(256, dtype=np.int64)
     out = np.zeros_like(leaves)
-    for i in range(k):
-        out |= ((leaves >> (k - 1 - i)) & 1) << shifts[i]
+    part = np.empty_like(leaves)
+    for low in range(0, k, 8):
+        # Bit low + b of a leaf is its digit k - 1 - low - b.
+        table = np.zeros(256, dtype=np.int64)
+        for b in range(min(8, k - low)):
+            table |= ((byte >> b) & 1) << shifts[k - 1 - low - b]
+        np.right_shift(leaves, low, out=part)
+        part &= 255
+        out |= table.take(part)
     return out
 
 
@@ -204,22 +217,30 @@ def fold_digits(u: np.ndarray, p: int, bits, weights, out=None) -> np.ndarray:
     """Left fold, in slot order, of weights[i] * (source bit bits[i] of u),
     from 0.0 or into out in place.
 
-    Source bit b is binary digit p-1-b of u: bit 0 is the most significant of
-    u's last p digits.  The fixed order makes the rounding of non-dyadic
-    weights (scheme1 with alpha not a power of two) the same on every
-    machine; dyadic weights sum exactly in any order.
+    Source bit b is binary digit p-1-b of u (int64): bit 0 is the most
+    significant of u's last p digits.  The fixed order makes the rounding of
+    non-dyadic weights (scheme1 with alpha not a power of two) the same on
+    every machine; dyadic weights sum exactly in any order.
+
+    Each term is made from integers: the digit, shifted to the sign bit and
+    arithmetically back, is a mask of 0 or -1, and the mask ANDed with the
+    bits of w reads as float64 w or +0.0, exactly digit * w for the
+    positive weights of every code.
     """
     if out is None:
         out = np.zeros(np.shape(u))
-    # Reused buffers: on batches of thousands of rows, fresh temporaries for
-    # every slot cost about three times the arithmetic itself.
-    digit = np.empty_like(u)
-    term = np.empty_like(out)
+    # One reused buffer: on batches of thousands of rows, fresh temporaries
+    # for every slot cost more than the arithmetic itself, and the integer
+    # term skips the int-to-float cast of a multiply.  The left shift runs
+    # unsigned, where bits shifted out are defined to drop.
+    digits = u.view(np.uint64)
+    mask = np.empty(np.shape(u), dtype=np.uint64)
+    signed = mask.view(np.int64)
     for bit, w in zip(bits, weights):
-        np.right_shift(u, p - 1 - int(bit), out=digit)
-        np.bitwise_and(digit, 1, out=digit)
-        np.multiply(digit, w, out=term)
-        out += term
+        np.left_shift(digits, 64 - p + int(bit), out=mask)
+        np.right_shift(signed, 63, out=signed)
+        signed &= np.float64(w).view(np.int64)
+        out += signed.view(np.float64)
     return out
 
 

@@ -1,8 +1,14 @@
 import concurrent.futures
+import errno
+import functools
 import json
 import math
 import multiprocessing
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1127,3 +1133,97 @@ def test_stretch_command(tmp_path, capsys):
     assert cli.main(["stretch", "--codec",
                      '{"scheme": "repetition", "n": 2}',
                      "--samples", "50", "--out", str(out)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the process entry point
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULE_ENTRY = ("-m", "jscc")
+
+
+def _script_entry() -> tuple:
+    """What the installed `jscc` script runs: pyproject's [project.scripts]
+    entry, called as the script pip writes calls it."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    module, func = re.search(r'^jscc = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    return ("-c", f"import sys; from {module} import {func}; sys.exit({func}())")
+
+
+def _jscc(args, cwd, entry=MODULE_ENTRY, unbuffered=False, **kwargs):
+    """One jscc process; stdout is a pipe unless given, and block-buffered
+    unless unbuffered, whatever this process's environment says."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = str(ROOT / "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, *entry, *args], cwd=cwd, env=env,
+                          stderr=subprocess.PIPE, text=True, timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("entry", [MODULE_ENTRY, _script_entry()],
+                         ids=["python -m jscc", "jscc script"])
+def test_the_entry_point_prints_the_summary_it_wrote(tmp_path, entry):
+    run = _jscc(["simulate", "--preset", "bounds-gallery", "--out", "out"], tmp_path, entry)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == (tmp_path / "out" / "bounds-gallery_summary.txt").read_text()
+
+
+@pytest.mark.parametrize("args, code, prefix", [
+    (["simulate", "--preset", "bounds-gallery", "--seed", "-1", "--out", "out"], 2,
+     "config error: "),
+    (["dimension", "--codec", json.dumps({"scheme": "repetition", "n": base.DIMS_CAP + 1}),
+      "--out", "d.csv"], 3, "capacity error: "),
+    (["simulate", "--preset", "bounds-gallery", "--out", "file/out"], 4, "i/o error: "),
+], ids=["exit 2", "exit 3", "exit 4"])
+def test_the_entry_point_refuses_with_one_stderr_line(tmp_path, args, code, prefix):
+    (tmp_path / "file").write_text("")
+    run = _jscc(args, tmp_path)
+    assert (run.returncode, run.stdout) == (code, "")
+    assert run.stderr.startswith(prefix) and run.stderr.count("\n") == 1
+    assert run.stderr.endswith("\n")
+    assert not (tmp_path / "out").exists() and not (tmp_path / "d.csv").exists()
+
+
+def test_usage_errors_and_help_keep_argparse_exits(tmp_path):
+    run = _jscc(["confabulate"], tmp_path)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.startswith("usage: jscc") and "invalid choice" in run.stderr
+    run = _jscc(["--help"], tmp_path)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.startswith("usage: jscc")
+
+
+def _stdout_error(code: int) -> str:
+    return f"i/o error: [Errno {code}] {os.strerror(code)}: '<stdout>'\n"
+
+
+@pytest.mark.parametrize("args, wrote", [
+    (["simulate", "--preset", "bounds-gallery", "--out", "out"],
+     "out/bounds-gallery_summary.txt"),
+    (["bounds", "--kind", "opta_slb", "--n", "2", "--out", "b.csv"], "b.csv"),
+    (["dimension", "--codec", '{"scheme":"repetition","n":2}', "--samples", "1000",
+      "--out", "d.csv"], "d.csv"),
+    (["stretch", "--codec", '{"scheme":"repetition","n":2}', "--out", "s.csv"], "s.csv"),
+], ids=["simulate", "bounds", "dimension", "stretch"])
+def test_a_closed_stdout_exits_4_with_one_stderr_line(tmp_path, args, wrote):
+    run = _jscc(args, tmp_path, stdout=None, preexec_fn=functools.partial(os.close, 1))
+    assert run.stderr == _stdout_error(errno.EBADF)
+    assert run.returncode == 4
+    assert (tmp_path / wrote).exists()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_broken_pipe_on_stdout_exits_4_with_one_stderr_line(tmp_path, unbuffered):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = _jscc(["simulate", "--preset", "bounds-gallery", "--out", "out"], tmp_path,
+                    unbuffered=unbuffered, stdout=write)
+    finally:
+        os.close(write)
+    assert run.stderr == _stdout_error(errno.EPIPE)
+    assert run.returncode == 4

@@ -7,7 +7,7 @@ import pytest
 
 from jscc.codecs import CodecSpec, build_codec
 from jscc.codecs.hybrid import PatternTable, protection_weights
-from jscc.codecs.layered import fold_digits
+from jscc.codecs.layered import fold_digits, spread_digits
 from jscc.numrep import unit_fraction_ints
 
 
@@ -58,6 +58,50 @@ def test_pattern_table_matches_the_lexsort_table(weights):
     assert table.values.dtype == values.dtype and table.patterns.dtype == patterns.dtype
     assert table.values.tobytes() == values.tobytes()
     assert table.patterns.tobytes() == patterns.tobytes()
+
+
+def loop_spread(leaves, k, shifts):
+    """spread_digits' oracle: one digit at a time, most significant first."""
+    out = np.zeros_like(leaves)
+    for i in range(k):
+        out |= ((leaves >> (k - 1 - i)) & 1) << shifts[i]
+    return out
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 8, 9, 16, 17, 24])
+def test_spread_digits_is_the_per_digit_loop(k):
+    rng = np.random.default_rng(k)
+    leaves = rng.integers(0, 1 << k, size=4096, dtype=np.int64)
+    leaves[:2] = [0, (1 << k) - 1]
+    shifts = rng.permutation(63)[:k]  # distinct bits, up to the one below the sign
+    assert spread_digits(leaves, k, shifts).tobytes() == loop_spread(leaves, k, shifts).tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    CodecSpec("type1", n=2, k=1), CodecSpec("type1", n=3, k=6),
+    CodecSpec("type2", n=2, k=10), CodecSpec("type2", n=3, k=5, grouping_variant="shifted"),
+], ids=CodecSpec.describe)
+def test_pattern_masks_are_the_per_digit_loop(spec):
+    codec = build_codec(spec)
+    if spec.scheme == "type1":
+        width, tables = codec.m, [codec.full_table] * (spec.n - 1) + [codec.analog_table]
+    else:
+        width, tables = spec.p, [codec.table] * spec.n
+    for mask, table, bits in zip(codec.masks, tables, codec.bits, strict=True):
+        want = loop_spread(table.patterns, len(bits), width - 1 - bits)
+        assert mask.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    CodecSpec("scheme1", n=2, alpha=3.0), CodecSpec("scheme2", n=4), CodecSpec("type2", n=2, k=3),
+], ids=CodecSpec.describe)
+def test_decision_table_patterns_are_the_per_digit_loop(spec):
+    for stream in build_codec(spec).streams:
+        for table in stream.chunks:
+            k = table.stop - table.start
+            want = loop_spread(np.arange(1 << k, dtype=np.int64), k,
+                               stream.shifts[table.start:table.stop])
+            assert table.patterns.tobytes() == want.tobytes()
 
 
 def test_type1_worked_example():

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from jscc.codecs import CodecSpec, build_codec
 from jscc.codecs.hybrid import protection_weights
-from jscc.codecs.layered import fold_digits
+from jscc.codecs.layered import ENCODE_DIGITS, fold_digits
 from jscc.numrep import DEFAULT_PRECISION
 
 unit_floats = st.floats(min_value=-0.5, max_value=0.5, exclude_max=True,
@@ -80,6 +80,8 @@ FOLD_SPECS = [
     CodecSpec("type1", n=3, k=5, p=52),
     CodecSpec("scheme1", n=2, alpha=8.0),
     CodecSpec("type2", n=2, k=2),
+    # Each stream's last weight, 2**-1040, is subnormal.
+    CodecSpec("scheme1", n=2, alpha=2.0 ** 40, p=52),
 ]
 
 
@@ -117,6 +119,45 @@ def test_table_encoder_is_the_per_digit_fold(spec):
     u[:2] = [0, (1 << width) - 1]
     want = np.stack([fold_digits(u, p, bits, w) for p, bits, w in columns], axis=1)
     assert codec.fold(u).tobytes() == want.tobytes()
+
+
+def multiply_fold(u, p, bits, weights, out=None):
+    """fold_digits' oracle: the same left fold in slot order, each term the
+    digit times its weight by a float multiply."""
+    if out is None:
+        out = np.zeros(np.shape(u))
+    for bit, w in zip(bits, weights):
+        out += ((u >> (p - 1 - int(bit))) & 1) * w
+    return out
+
+
+@pytest.mark.parametrize("spec", FOLD_SPECS, ids=spec_id)
+def test_fold_digits_is_the_multiply_fold(spec):
+    """Bit for bit, on each column from 0.0 and into out (the encode tail),
+    and on every leaf of its leading digits (the table builds)."""
+    codec = build_codec(spec)
+    width, columns = fold_columns(codec)
+    rng = np.random.default_rng(1040)
+    u = rng.integers(0, 1 << width, size=4096, dtype=np.int64)
+    u[:2] = [0, (1 << width) - 1]
+    start = rng.random(u.size)
+    for p, bits, w in columns:
+        got = [fold_digits(u, p, bits, w), fold_digits(u, p, bits, w, out=start.copy())]
+        want = [multiply_fold(u, p, bits, w), multiply_fold(u, p, bits, w, out=start.copy())]
+        assert [g.tobytes() for g in got] == [v.tobytes() for v in want]
+        k = min(len(bits), ENCODE_DIGITS)
+        leaves = np.arange(1 << k, dtype=np.int64)
+        assert (fold_digits(leaves, k, range(k), w[:k]).tobytes()
+                == multiply_fold(leaves, k, range(k), w[:k]).tobytes())
+
+
+def test_a_subnormal_weight_is_folded():
+    codec = build_codec(CodecSpec("scheme1", n=2, alpha=2.0 ** 40, p=52))
+    w = codec.streams[0].data_weights
+    assert 0.0 < w[-1] < np.finfo(np.float64).tiny
+    # Source bit 50, stream 0's last digit, alone and beside bit 51, stream 1's.
+    u = np.array([2, 3], dtype=np.int64)
+    assert codec.fold(u).tolist() == [[w[-1], 0.0], [w[-1], w[-1]]]
 
 
 PORTABILITY_SCRIPT = """
