@@ -11,7 +11,7 @@ import sys
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .cli import main  # noqa: E402  (after the pin)
+from .cli import main, report_error  # noqa: E402  (after the pin)
 
 
 def run():
@@ -31,8 +31,8 @@ def run():
             if stream is not None:
                 stream.flush()
         except OSError as exc:
-            if code == 0 and stream is sys.stdout and sys.stderr is not None:
-                sys.stderr.write(f"i/o error: {exc}\n")
+            if code == 0 and stream is sys.stdout:
+                report_error(f"i/o error: {exc}")
                 code = 4
     os._exit(code)
 

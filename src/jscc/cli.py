@@ -417,6 +417,19 @@ def _print(text: str) -> None:
         raise OSError(exc.errno, exc.strerror, "<stdout>") from exc
 
 
+def report_error(line: str) -> None:
+    """The one place the CLI reports an error: one stderr line, flushed at
+    once.  A closed or broken stderr drops the line, and the exit code
+    still says what went wrong."""
+    if sys.stderr is None:  # the process started with fd 2 closed
+        return
+    try:
+        sys.stderr.write(line + "\n")
+        sys.stderr.flush()
+    except OSError:
+        pass
+
+
 def _overlay_points(job: OverlayJob, curves_by_label, all_points):
     snrs = [p.snr_db for pts in all_points.values() for p in pts]
     snr_lo = max(min(snrs), _OVERLAY_SNR_FLOOR)
@@ -715,15 +728,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        report_error(f"config error: {exc}")
         return 2
     except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
+        report_error(f"capacity error: {exc}")
         return 3
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        report_error(f"i/o error: {exc}")
         return 4
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

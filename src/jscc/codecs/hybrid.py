@@ -41,7 +41,6 @@ class PatternTable:
     """
 
     def __init__(self, weights: np.ndarray):
-        self.m = len(weights)
         # Entry p of vals is the weighted sum of pattern p's bits, weights[0]
         # on the most significant, added in weight order as fold_digits does.
         vals = np.zeros(1)

@@ -83,8 +83,8 @@ class ShiftMapCodec(Codec):
     every segment forms it, so the result is the same to the bit.
     """
 
-    # Segment-point pairs scored per vectorized block of the search.
-    _PAIRS = 1 << 13
+    # Segment-point pairs scored per step of the search.
+    _PAIRS = 1 << 14
 
     def __init__(self, spec: CodecSpec):
         super().__init__(spec)
@@ -173,32 +173,30 @@ class ShiftMapCodec(Codec):
         pad = self._round_err * segs * (2.0 + np.abs(y1) + reach)
         first = np.fmax(np.fmin(np.floor((y1 - reach) * segs - pad), t0), 0).astype(np.int64)
         last = np.fmin(np.fmax(np.floor((y1 + reach) * segs + pad), t0), segs - 1).astype(np.int64)
+        # Score the windows from their first segment on, a run of offsets at
+        # a time: entry (i, j) of a step is segment first + k + i of live row
+        # j, held at the row's last segment, and a step holds at most _PAIRS
+        # entries unless one offset needs more.  A row stays live while its
+        # window reaches first + k; a row that leaves keeps its best source.
         rows = np.flatnonzero(last > first)
-        # Score the windows in blocks of one power-of-two width class, entry
-        # (k, j) of a block being segment first + k of row j, held at the
-        # row's last segment.
-        widths = last[rows] - first[rows] + 1
-        width_class = np.frexp(widths)[1]
-        order = np.argsort(-width_class.astype(np.int8), kind="stable")
-        rows, widths, width_class = rows[order], widths[order], width_class[order]
-        class_end = np.searchsorted(-width_class, -width_class, side="right")
-        start = 0
-        while start < rows.size:
-            stop = min(class_end[start], start + max(1, self._PAIRS >> width_class[start]))
-            r = rows[start:stop]
-            r_first, r_last = first.take(r), last.take(r)
-            r_cols, r_dot_g, r_y_sq = cols.take(r, axis=1), y_dot_g.take(r), y_sq.take(r)
-            bd, bx = best_d.take(r), best_x.take(r)
-            width = widths[start:stop].max()
-            for k in range(0, width, self._PAIRS):
-                t = np.minimum(r_first + np.arange(k, min(width, k + self._PAIRS))[:, None],
-                               r_last)
-                d, x = self._distances(t, r_cols, r_dot_g, r_y_sq)
-                d_min = np.fmin.reduce(d, axis=0)
-                x_min = np.fmin.reduce(np.where(d == d_min, x, np.inf), axis=0)
-                _keep_best(bd, bx, d_min, x_min)
-            best_d[r], best_x[r] = bd, bx
-            start = stop
+        first, span = first[rows], last[rows] - first[rows]
+        cols, y_dot_g, y_sq = cols.take(rows, axis=1), y_dot_g[rows], y_sq[rows]
+        bd, bx = best_d[rows], best_x[rows]
+        k = 0
+        while rows.size:
+            step = max(1, min(self._PAIRS // rows.size, int(span.max()) - k + 1))
+            t = first + np.minimum(np.arange(k, k + step)[:, None], span)
+            d, x = self._distances(t, cols, y_dot_g, y_sq)
+            d_min = np.fmin.reduce(d, axis=0)
+            x_min = np.fmin.reduce(np.where(d == d_min, x, np.inf), axis=0)
+            _keep_best(bd, bx, d_min, x_min)
+            k += step
+            live = np.flatnonzero(k <= span)
+            if live.size < rows.size:
+                best_x[rows] = bx
+                rows, first, span, y_dot_g, y_sq, bd, bx = (
+                    v.take(live) for v in (rows, first, span, y_dot_g, y_sq, bd, bx))
+                cols = cols.take(live, axis=1)
         return best_x
 
 

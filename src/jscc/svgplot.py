@@ -14,6 +14,8 @@ _PALETTE = (
     "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f",
 )
 
+_WIDTH = 840
+_HEIGHT = 560
 _MARGIN_LEFT = 62.0
 _MARGIN_RIGHT = 190.0
 _MARGIN_TOP = 42.0
@@ -49,8 +51,7 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def svg_document(series, *, title: str, x_label: str, y_label: str,
-                 width: int = 840, height: int = 560) -> str:
+def svg_document(series, *, title: str, x_label: str, y_label: str) -> str:
     """Render line series to an SVG string.
 
     Each series is a dict with keys label, points (list of (x, y) pairs),
@@ -79,8 +80,8 @@ def svg_document(series, *, title: str, x_label: str, y_label: str,
     pad_y = 0.04 * (y1 - y0)
     y0, y1 = y0 - pad_y, y1 + pad_y
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def sx(x):
         return _MARGIN_LEFT + (x - x0) / (x1 - x0) * plot_w
@@ -90,10 +91,10 @@ def svg_document(series, *, title: str, x_label: str, y_label: str,
 
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
-    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-               f'height="{height}" viewBox="0 0 {width} {height}">')
-    out.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>')
-    out.append(f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
+    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+               f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">')
+    out.append(f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
+    out.append(f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
                f'font-family="sans-serif" font-size="15">{_escape(title)}</text>')
 
     # grid and ticks
@@ -119,7 +120,7 @@ def svg_document(series, *, title: str, x_label: str, y_label: str,
 
     # axis labels
     out.append(f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" '
-               f'y="{_fmt(height - 14)}" text-anchor="middle" '
+               f'y="{_fmt(_HEIGHT - 14)}" text-anchor="middle" '
                f'font-family="sans-serif" font-size="13">{_escape(x_label)}</text>')
     out.append(f'<text x="18" y="{_fmt(_MARGIN_TOP + plot_h / 2)}" '
                f'text-anchor="middle" font-family="sans-serif" font-size="13" '

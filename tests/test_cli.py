@@ -1172,13 +1172,16 @@ def test_the_entry_point_prints_the_summary_it_wrote(tmp_path, entry):
     assert run.stdout == (tmp_path / "out" / "bounds-gallery_summary.txt").read_text()
 
 
-@pytest.mark.parametrize("args, code, prefix", [
+REFUSALS = pytest.mark.parametrize("args, code, prefix", [
     (["simulate", "--preset", "bounds-gallery", "--seed", "-1", "--out", "out"], 2,
      "config error: "),
     (["dimension", "--codec", json.dumps({"scheme": "repetition", "n": base.DIMS_CAP + 1}),
       "--out", "d.csv"], 3, "capacity error: "),
     (["simulate", "--preset", "bounds-gallery", "--out", "file/out"], 4, "i/o error: "),
 ], ids=["exit 2", "exit 3", "exit 4"])
+
+
+@REFUSALS
 def test_the_entry_point_refuses_with_one_stderr_line(tmp_path, args, code, prefix):
     (tmp_path / "file").write_text("")
     run = _jscc(args, tmp_path)
@@ -1214,6 +1217,14 @@ def test_a_closed_stdout_exits_4_with_one_stderr_line(tmp_path, args, wrote):
     assert run.stderr == _stdout_error(errno.EBADF)
     assert run.returncode == 4
     assert (tmp_path / wrote).exists()
+
+
+@REFUSALS
+def test_a_closed_stderr_keeps_the_refusal_exit_code(tmp_path, args, code, prefix):
+    (tmp_path / "file").write_text("")
+    run = _jscc(args, tmp_path, preexec_fn=functools.partial(os.close, 2))
+    assert (run.returncode, run.stdout, run.stderr) == (code, "", "")
+    assert not (tmp_path / "out").exists() and not (tmp_path / "d.csv").exists()
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

@@ -169,6 +169,33 @@ def test_shiftmap_decode_matches_dense_scan_bit_for_bit(n, snr_db, fixed_a, seed
                                   _dense_shiftmap_decode(c, y).view(np.int64))
 
 
+@pytest.mark.parametrize("n, snr_db, a", [(4, 0, 3), (4, 15, 3), (4, 30, 3), (3, 65, None)],
+                         ids=["fig3 0 dB", "fig3 15 dB", "fig3 30 dB", "resolved n=3 65 dB"])
+def test_shiftmap_decode_matches_dense_scan_on_full_batches(monkeypatch, n, snr_db, a):
+    # At 4096 rows a search step covers a few offsets of each window, so
+    # wide windows take several steps and rows leave the live set mid-window.
+    sigma = channel.sigma_from_snr_db(snr_db)
+    c = make("shift_map", n=n, a=a or optimal_a(sigma, n))
+    rng = np.random.default_rng(snr_db)
+    x = rng.uniform(-0.5, 0.5, 4096)
+    y = c.encode(x) + sigma / math.sqrt(12.0) * rng.standard_normal((x.size, n))
+    y[:6, 0] = [-1.5, -0.5, -1e-9, 1.0, 1.5, 2.5]  # y_1 off [0, 1)
+    y[6] = np.nan
+    steps, distances = [], c._distances
+
+    def scored(t, *rest):
+        steps.append(t.shape)
+        return distances(t, *rest)
+
+    monkeypatch.setattr(c, "_distances", scored)
+    out = c.decode(y)
+    np.testing.assert_array_equal(out.view(np.int64),
+                                  _dense_shiftmap_decode(c, y).view(np.int64))
+    if snr_db == 0:
+        # The start segment, then steps of a few offsets each.
+        assert len(steps) > 3 and steps[1][0] < 27
+
+
 def test_shiftmap_exact_tie_goes_to_smaller_source():
     # Points on the plane halfway between segments 3 and 4 of the a=8 map are
     # equidistant from both; keep those whose two computed distances agree
